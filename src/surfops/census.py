@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .diagram import ChordDiagram, evaluate
@@ -63,6 +63,13 @@ def enumerate_surfaces(labels: Iterable[str], max_g: int) -> list[Surface]:
                 out.append(Surface(cycles, g))
     out.sort(key=lambda s: (s.genus, str(s)))
     return out
+
+
+def label_subsets(max_labels: int) -> Iterator[tuple[str, ...]]:
+    """Every subset of the labels "1" .. ``max_labels``, smallest first, in combinations order."""
+    universe = [str(i + 1) for i in range(max_labels)]
+    for size in range(len(universe) + 1):
+        yield from combinations(universe, size)
 
 
 def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:
@@ -168,6 +175,7 @@ def random_diagram(
 
 __all__ = [
     "cycle_decompositions",
+    "label_subsets",
     "enumerate_surfaces",
     "enumerate_cyclic_words",
     "enumerate_matchings",

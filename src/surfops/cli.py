@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from .canonical import all_canonical_diagrams, canonical_diagram
-from .census import distribution_rows, enumerate_surfaces, genus_distribution
+from .census import distribution_rows, enumerate_surfaces, genus_distribution, label_subsets
 from .diagram import ChordDiagram, evaluate, render_dot
 from .laws import (
     SurfaceTarget,
@@ -28,7 +28,7 @@ from .laws import (
     terminal_sampler,
 )
 from .lexer import ParseError
-from .rewrite import find_certificate
+from .rewrite import equivalent, find_certificate
 from .surface import Surface, compose, self_glue
 from .words import Renaming
 
@@ -71,15 +71,15 @@ def _parse_renaming(text: str) -> Renaming:
     return Renaming(zip(words[0::2], words[1::2]))
 
 
-def _universe(k: int) -> tuple[str, ...]:
-    return tuple(str(i + 1) for i in range(k))
-
-
-def _subsets(universe: Sequence[str]):
-    from itertools import combinations
-
-    for size in range(len(universe) + 1):
-        yield from combinations(universe, size)
+def _nonnegative(text: str) -> int:
+    """argparse type for counts, sizes and depths: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def cmd_eval(args) -> int:
@@ -127,7 +127,7 @@ def cmd_rename(args) -> int:
 def cmd_equal(args) -> int:
     d1 = _parse_diagram(args.left)
     d2 = _parse_diagram(args.right)
-    same = evaluate(d1) == evaluate(d2)
+    same = equivalent(d1, d2)
     if args.certificate:
         cert = find_certificate(d1, d2, max_depth=args.depth)
         if cert is None:
@@ -151,7 +151,7 @@ def cmd_check_axioms(args) -> int:
         target = SurfaceTarget()
         elements = [
             q
-            for subset in _subsets(_universe(args.max_labels))
+            for subset in label_subsets(args.max_labels)
             for q in enumerate_surfaces(subset, args.max_g)
         ]
         sampler = surface_sampler(max_g=args.max_g)
@@ -159,7 +159,7 @@ def cmd_check_axioms(args) -> int:
         target = TerminalTarget()
         elements = [
             TerminalElement(frozenset(subset), g)
-            for subset in _subsets(_universe(args.max_labels))
+            for subset in label_subsets(args.max_labels)
             for g in range(2 * args.max_g + 2)
         ]
         sampler = terminal_sampler()
@@ -236,25 +236,25 @@ def build_parser() -> _Parser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--certificate", action="store_true", help="search for a connecting move sequence")
-    p.add_argument("--depth", type=int, default=4, help="certificate search depth (default 4)")
+    p.add_argument("--depth", type=_nonnegative, default=4, help="certificate search depth (default 4)")
     p.set_defaults(handler=cmd_equal)
 
     p = sub.add_parser("check-axioms", help="run the operation-law suite against a target")
     p.add_argument("--target", choices=["qo", "terminal"], default="qo",
                    help="qo = surfaces acting on themselves; terminal = signature collapse")
-    p.add_argument("--max-labels", type=int, default=2, help="size of the label universe")
-    p.add_argument("--max-g", type=int, default=1, help="largest genus in the element pool")
-    p.add_argument("--budget", type=int, default=None, help="cap instances per family")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--max-labels", type=_nonnegative, default=2, help="size of the label universe")
+    p.add_argument("--max-g", type=_nonnegative, default=1, help="largest genus in the element pool")
+    p.add_argument("--budget", type=_nonnegative, default=None, help="cap instances per family")
+    p.add_argument("--random", type=_nonnegative, default=0, metavar="N",
                    help="also run N randomized larger instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_check_axioms)
 
     p = sub.add_parser("check-envelope", help="verify induced maps: existence, agreement, laws")
-    p.add_argument("--max-labels", type=int, default=3)
-    p.add_argument("--max-g", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--max-labels", type=_nonnegative, default=3)
+    p.add_argument("--max-g", type=_nonnegative, default=1)
+    p.add_argument("--budget", type=_nonnegative, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_check_envelope)
 

@@ -4,6 +4,11 @@ A target is anything that supports renaming, end-to-end composition, and
 same-element contraction with the usual label and grade bookkeeping.  The
 checkers run named instance families against a target and report per-family
 counts with the first counterexample kept verbatim.
+
+Each law is written once, as its parameter names and a function giving both
+sides.  Each axiom family has one instance generator, written as nested loops
+over choice points (element tuples, label picks, renamings): the exhaustive
+driver offers every option over a fixed pool, the random driver draws one.
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cache
+from itertools import chain, combinations, islice, permutations, product
+from typing import Callable, Iterable, NamedTuple
 
 from . import census
 from .assoc import splice, to_surface
@@ -175,9 +181,7 @@ class LawReport:
     families: dict[str, FamilyResult] = field(default_factory=dict)
 
     def family(self, name: str) -> FamilyResult:
-        if name not in self.families:
-            self.families[name] = FamilyResult()
-        return self.families[name]
+        return self.families.setdefault(name, FamilyResult())
 
     @property
     def total_checked(self) -> int:
@@ -219,7 +223,8 @@ class LawReport:
         lines = [f"{self.title}"]
         width = max((len(n) for n in self.families), default=0)
         for name, res in self.families.items():
-            verdict = "ok" if res.failures == 0 else "FAIL"
+            # a family no instance reached has shown nothing either way
+            verdict = "FAIL" if res.failures else "ok" if res.checked else "VACUOUS"
             lines.append(f"  {name.ljust(width)}  {res.checked:>7} checked  {res.failures:>3} failed  {verdict}")
             if res.counterexample is not None:
                 lines.append(str(res.counterexample))
@@ -234,197 +239,291 @@ class _LawViolation(Exception):
     pass
 
 
-class _Session:
-    """Runs single instances against a target with bookkeeping postconditions."""
+class _Law(NamedTuple):
+    """A law's parameter names and ``sides(session, *args) -> (lhs, rhs)``."""
 
-    def __init__(self, target: Target, report: LawReport, budget: int | None = None):
+    params: str
+    sides: Callable[..., tuple[object, object]]
+
+
+class _Session:
+    """Runs instances against a target with bookkeeping postconditions.
+
+    Counterexample inputs named in ``described`` are shown through the
+    target's ``describe``, the others through ``str``; they are rendered only
+    for the first failure of a family.
+    """
+
+    def __init__(self, target: Target, report: LawReport, described: frozenset[str] = frozenset()):
         self.t = target
         self.report = report
-        self.budget = budget
+        self.described = described
 
-    def full(self, family: str) -> bool:
-        return self.budget is not None and self.report.family(family).checked >= self.budget
+    def _kept(self, op: str, out, labels: frozenset[str], grade: int):
+        if self.t.labels_of(out) != labels or self.t.grade_of(out) != grade:
+            raise _LawViolation(f"bookkeeping broke under {op}: got {self.t.describe(out)}")
+        return out
 
     def rename(self, x, renaming: Renaming):
         t = self.t
-        before_labels, before_grade = t.labels_of(x), t.grade_of(x)
+        labels, grade = t.labels_of(x), t.grade_of(x)
         out = t.rename(x, renaming)
-        want = frozenset(renaming(l) for l in before_labels)
-        if t.labels_of(out) != want or t.grade_of(out) != before_grade:
-            raise _LawViolation(f"bookkeeping broke under rename: got {t.describe(out)}")
-        return out
+        return self._kept("rename", out, frozenset(renaming(l) for l in labels), grade)
 
     def compose(self, x, a: str, y, b: str):
         t = self.t
-        want_labels = (t.labels_of(x) - {a}) | (t.labels_of(y) - {b})
-        want_grade = t.grade_of(x) + t.grade_of(y)
-        out = t.compose(x, a, y, b)
-        if t.labels_of(out) != want_labels or t.grade_of(out) != want_grade:
-            raise _LawViolation(f"bookkeeping broke under compose: got {t.describe(out)}")
-        return out
+        labels = (t.labels_of(x) - {a}) | (t.labels_of(y) - {b})
+        return self._kept("compose", t.compose(x, a, y, b), labels, t.grade_of(x) + t.grade_of(y))
 
     def contract(self, x, a: str, b: str):
         t = self.t
-        want_labels = t.labels_of(x) - {a, b}
-        want_grade = t.grade_of(x) + 1
-        out = t.contract(x, a, b)
-        if t.labels_of(out) != want_labels or t.grade_of(out) != want_grade:
-            raise _LawViolation(f"bookkeeping broke under contract: got {t.describe(out)}")
-        return out
+        labels = t.labels_of(x) - {a, b}
+        return self._kept("contract", t.contract(x, a, b), labels, t.grade_of(x) + 1)
 
-    def check(self, family: str, inputs: Sequence[tuple[str, object]], lhs_fn, rhs_fn) -> None:
+    def run(self, family: str, instances: Iterable[tuple[_Law, tuple]], budget: int | None = None) -> None:
+        """Check the first ``budget`` (all, if None) ``(law, args)`` instances of ``family``."""
         fam = self.report.family(family)
-        if self.budget is not None and fam.checked >= self.budget:
-            return
-        fam.checked += 1
-        try:
-            lhs = lhs_fn()
-            rhs = rhs_fn()
-            if lhs == rhs:
-                return
-            shown = (self.t.describe(lhs), self.t.describe(rhs))
-        except _LawViolation as exc:
-            shown = (str(exc), "(postcondition)")
-        except ValueError as exc:
-            # a rejected operation on a well-typed instance is itself a violation
-            shown = (f"operation rejected: {exc}", "(precondition)")
-        fam.failures += 1
-        if fam.counterexample is None:
-            fam.counterexample = Counterexample(
-                family, tuple((k, str(v)) for k, v in inputs), shown[0], shown[1]
-            )
+        for law, args in islice(instances, budget):
+            fam.checked += 1
+            try:
+                lhs, rhs = law.sides(self, *args)
+                if lhs == rhs:
+                    continue
+                shown = (self.t.describe(lhs), self.t.describe(rhs))
+            except _LawViolation as exc:
+                shown = (str(exc), "(postcondition)")
+            except ValueError as exc:
+                # a rejected operation on a well-typed instance is itself a violation
+                shown = (f"operation rejected: {exc}", "(precondition)")
+            fam.failures += 1
+            if fam.counterexample is None:
+                inputs = tuple(
+                    (name, str(self.t.describe(v) if name in self.described else v))
+                    for name, v in zip(law.params.split(), args)
+                )
+                fam.counterexample = Counterexample(family, inputs, *shown)
 
 
 # ---------------------------------------------------------------------------
-# instance shapes, shared by the exhaustive and randomized drivers
-
-
-def _inst_compose_symmetry(s: _Session, x, a, y, b) -> None:
-    s.check(
-        "compose_symmetry",
-        [("x", s.t.describe(x)), ("a", a), ("y", s.t.describe(y)), ("b", b)],
-        lambda: s.compose(x, a, y, b),
-        lambda: s.compose(y, b, x, a),
-    )
-
-
-def _inst_rename_identity(s: _Session, x) -> None:
-    ident = Renaming.identity(s.t.labels_of(x))
-    s.check(
-        "rename_functoriality",
-        [("x", s.t.describe(x)), ("renaming", ident)],
-        lambda: s.rename(x, ident),
-        lambda: x,
-    )
-
-
-def _inst_rename_composition(s: _Session, x, first: Renaming, second: Renaming) -> None:
-    s.check(
-        "rename_functoriality",
-        [("x", s.t.describe(x)), ("first", first), ("second", second)],
-        lambda: s.rename(s.rename(x, first), second),
-        lambda: s.rename(x, second.after(first)),
-    )
-
-
-def _inst_compose_equivariance(s: _Session, x, a, y, b, rho: Renaming, sigma: Renaming) -> None:
-    outer = rho.restrict(s.t.labels_of(x) - {a}).union(sigma.restrict(s.t.labels_of(y) - {b}))
-    s.check(
-        "compose_equivariance",
-        [("x", s.t.describe(x)), ("a", a), ("y", s.t.describe(y)), ("b", b),
-         ("rho", rho), ("sigma", sigma)],
-        lambda: s.rename(s.compose(x, a, y, b), outer),
-        lambda: s.compose(s.rename(x, rho), rho(a), s.rename(y, sigma), sigma(b)),
-    )
-
-
-def _inst_contract_equivariance(s: _Session, x, a, b, rho: Renaming) -> None:
-    outer = rho.restrict(s.t.labels_of(x) - {a, b})
-    s.check(
-        "contract_equivariance",
-        [("x", s.t.describe(x)), ("a", a), ("b", b), ("rho", rho)],
-        lambda: s.rename(s.contract(x, a, b), outer),
-        lambda: s.contract(s.rename(x, rho), rho(a), rho(b)),
-    )
-
-
-def _inst_contract_commutativity(s: _Session, x, a, b, c, d) -> None:
-    s.check(
-        "contract_commutativity",
-        [("x", s.t.describe(x)), ("a", a), ("b", b), ("c", c), ("d", d)],
-        lambda: s.contract(s.contract(x, a, b), c, d),
-        lambda: s.contract(s.contract(x, c, d), a, b),
-    )
-
-
-def _inst_contract_compose_exchange(s: _Session, x, a, c, y, b, d) -> None:
-    s.check(
-        "contract_compose_exchange",
-        [("x", s.t.describe(x)), ("a", a), ("c", c), ("y", s.t.describe(y)), ("b", b), ("d", d)],
-        lambda: s.contract(s.compose(x, c, y, d), a, b),
-        lambda: s.contract(s.compose(x, a, y, b), c, d),
-    )
-
-
-def _inst_contract_factor_left(s: _Session, x, a, c, d, y, b) -> None:
-    s.check(
-        "contract_factor_left",
-        [("x", s.t.describe(x)), ("a", a), ("c", c), ("d", d), ("y", s.t.describe(y)), ("b", b)],
-        lambda: s.compose(s.contract(x, c, d), a, y, b),
-        lambda: s.contract(s.compose(x, a, y, b), c, d),
-    )
-
-
-def _inst_contract_factor_right(s: _Session, x, a, y, b, c, d) -> None:
-    s.check(
-        "contract_factor_right",
-        [("x", s.t.describe(x)), ("a", a), ("y", s.t.describe(y)), ("b", b), ("c", c), ("d", d)],
-        lambda: s.compose(x, a, s.contract(y, c, d), b),
-        lambda: s.contract(s.compose(x, a, y, b), c, d),
-    )
-
-
-def _inst_compose_associativity(s: _Session, x, a, y, b, c, z, d) -> None:
-    s.check(
-        "compose_associativity",
-        [("x", s.t.describe(x)), ("a", a), ("y", s.t.describe(y)), ("b", b), ("c", c),
-         ("z", s.t.describe(z)), ("d", d)],
-        lambda: s.compose(x, a, s.compose(y, c, z, d), b),
-        lambda: s.compose(s.compose(x, a, y, b), c, z, d),
-    )
-
-
-AXIOM_FAMILIES = (
-    "compose_symmetry",
-    "rename_functoriality",
-    "compose_equivariance",
-    "contract_equivariance",
-    "contract_commutativity",
-    "contract_compose_exchange",
-    "contract_factor_left",
-    "contract_factor_right",
-    "compose_associativity",
-)
+# choice points: every option over a pool, or one random draw per point
 
 
 def _fresh_names(n: int, avoid: frozenset[str], tag: str) -> list[str]:
-    out: list[str] = []
-    k = 1
-    while len(out) < n:
-        name = f"{tag}{k}"
-        if name not in avoid:
-            out.append(name)
-        k += 1
-    return out
+    # at most len(avoid) of the first n + len(avoid) candidates are taken
+    names = (f"{tag}{k}" for k in range(1, n + len(avoid) + 1))
+    return [name for name in names if name not in avoid][:n]
 
 
-def _renamings_for(labels: frozenset[str], avoid: frozenset[str], tag: str) -> list[Renaming]:
-    """All bijections from ``labels`` onto itself or onto fresh names."""
+def _renamings_for(labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
+    """Bijections from ``labels`` onto itself (unless ``fresh_only``), then onto fresh names."""
     src = sorted(labels)
-    out = [Renaming(zip(src, image)) for image in permutations(src)]
-    fresh = _fresh_names(len(src), avoid | labels, tag)
-    out += [Renaming(zip(src, image)) for image in permutations(fresh)]
-    return out
+    fresh = permutations(_fresh_names(len(src), avoid | labels, tag))
+    images = fresh if fresh_only else chain(permutations(src), fresh)
+    return (Renaming(zip(src, image)) for image in images)
+
+
+def _random_renaming(rng: random.Random, labels: frozenset[str], avoid: frozenset[str], tag: str) -> Renaming:
+    src = sorted(labels)
+    image = list(src) if rng.random() < 0.5 else _fresh_names(len(src), avoid | labels, tag)
+    rng.shuffle(image)
+    return Renaming(zip(src, image))
+
+
+class _AllChoices:
+    """Every option at each choice point, over a fixed pool of elements."""
+
+    def __init__(self, target: Target, elements: list):
+        self.labels_of = target.labels_of
+        self.pool = elements
+        self.groups: dict[frozenset[str], list] = {}
+        for x in elements:
+            self.groups.setdefault(target.labels_of(x), []).append(x)
+        self.sets = sorted(self.groups, key=lambda ls: (len(ls), sorted(ls)))
+        self.all_labels = frozenset().union(*self.groups)
+
+    def elements(self, *min_labels: int):
+        """Tuples of elements on pairwise disjoint labels, each with at least ``min_labels``.
+
+        A lone element runs over the pool in its given order; a tuple runs
+        over its label sets in (size, labels) order, then over their elements.
+        """
+        if len(min_labels) == 1:
+            return ((x,) for x in self.pool if len(self.labels_of(x)) >= min_labels[0])
+        return (xs for sets in self._disjoint_sets(frozenset(), min_labels)
+                for xs in product(*(self.groups[ls] for ls in sets)))
+
+    def _disjoint_sets(self, used: frozenset[str], min_labels: tuple[int, ...]):
+        if not min_labels:
+            yield ()
+            return
+        for ls in self.sets:
+            if len(ls) >= min_labels[0] and not ls & used:
+                for rest in self._disjoint_sets(used | ls, min_labels[1:]):
+                    yield (ls, *rest)
+
+    def label(self, x):
+        return sorted(self.labels_of(x))
+
+    def label_pairs(self, x, excluded: frozenset[str] = frozenset(), ordered: bool = False):
+        return (permutations if ordered else combinations)(sorted(self.labels_of(x) - excluded), 2)
+
+    def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
+        # fresh names avoid every label of the pool, not just the instance's
+        return _renamings_for(labels, self.all_labels | avoid, tag, fresh_only)
+
+    def branch(self, p: float):
+        return (True, False)
+
+
+class _RandomChoices:
+    """One random option at each choice point; elements come from ``sampler``.
+
+    A label pair is always drawn in order, and a renaming is onto permuted or
+    onto fresh names with even odds, whatever restricts the exhaustive options.
+    """
+
+    def __init__(self, target: Target, sampler, rng: random.Random):
+        self.labels_of = target.labels_of
+        self.sampler = sampler
+        self.rng = rng
+
+    def elements(self, *min_labels: int):
+        xs: list = []
+        for n in min_labels:
+            xs.append(self.sampler(self.rng, frozenset().union(*map(self.labels_of, xs)), n))
+        return [tuple(xs)]
+
+    def label(self, x):
+        return [self.rng.choice(sorted(self.labels_of(x)))]
+
+    def label_pairs(self, x, excluded: frozenset[str] = frozenset(), ordered: bool = False):
+        return [tuple(self.rng.sample(sorted(self.labels_of(x) - excluded), 2))]
+
+    def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
+        return [_random_renaming(self.rng, labels, avoid, tag)]
+
+    def branch(self, p: float):
+        return [self.rng.random() < p]
+
+
+# ---------------------------------------------------------------------------
+# axiom families: each law once, and one instance generator per family
+
+
+_AXIOMS: dict[str, Callable] = {}
+
+
+def _axiom(family: str, *laws: _Law):
+    """Register ``generate(choices, *laws)``, which yields ``(law, args)``, as an axiom family."""
+
+    def register(generate):
+        _AXIOMS[family] = lambda choices: generate(choices, *laws)
+        return generate
+
+    return register
+
+
+@_axiom("compose_symmetry", _Law("x a y b", lambda s, x, a, y, b: (s.compose(x, a, y, b), s.compose(y, b, x, a))))
+def _compose_symmetry(ch, law):
+    for x, y in ch.elements(1, 1):
+        for a in ch.label(x):
+            for b in ch.label(y):
+                yield law, (x, a, y, b)
+
+
+@_axiom(
+    "rename_functoriality",
+    _Law("x renaming", lambda s, x, ident: (s.rename(x, ident), x)),
+    _Law("x first second", lambda s, x, first, second: (
+        s.rename(s.rename(x, first), second), s.rename(x, second.after(first)))),
+)
+def _rename_functoriality(ch, identity_law, composition_law):
+    for (x,) in ch.elements(0):
+        lx = ch.labels_of(x)
+        for identity in ch.branch(0.2):
+            if identity:
+                yield identity_law, (x, Renaming.identity(lx))
+                continue
+            for first in ch.renamings(lx, lx, "u"):
+                for second in ch.renamings(first.codomain, lx | first.codomain, "v", fresh_only=True):
+                    yield composition_law, (x, first, second)
+
+
+@_axiom("compose_equivariance", _Law("x a y b rho sigma", lambda s, x, a, y, b, rho, sigma: (
+    s.rename(s.compose(x, a, y, b),
+             rho.restrict(s.t.labels_of(x) - {a}).union(sigma.restrict(s.t.labels_of(y) - {b}))),
+    s.compose(s.rename(x, rho), rho(a), s.rename(y, sigma), sigma(b)))))
+def _compose_equivariance(ch, law):
+    for x, y in ch.elements(1, 1):
+        lx, ly = ch.labels_of(x), ch.labels_of(y)
+        for a in ch.label(x):
+            for b in ch.label(y):
+                for rho in ch.renamings(lx, lx | ly, "u"):
+                    for sigma in ch.renamings(ly, lx | ly | rho.codomain, "v"):
+                        yield law, (x, a, y, b, rho, sigma)
+
+
+@_axiom("contract_equivariance", _Law("x a b rho", lambda s, x, a, b, rho: (
+    s.rename(s.contract(x, a, b), rho.restrict(s.t.labels_of(x) - {a, b})),
+    s.contract(s.rename(x, rho), rho(a), rho(b)))))
+def _contract_equivariance(ch, law):
+    for (x,) in ch.elements(2):
+        lx = ch.labels_of(x)
+        for a, b in ch.label_pairs(x):
+            for rho in ch.renamings(lx, lx, "u"):
+                yield law, (x, a, b, rho)
+
+
+@_axiom("contract_commutativity", _Law("x a b c d", lambda s, x, a, b, c, d: (
+    s.contract(s.contract(x, a, b), c, d), s.contract(s.contract(x, c, d), a, b))))
+def _contract_commutativity(ch, law):
+    for (x,) in ch.elements(4):
+        for a, b in ch.label_pairs(x):
+            for c, d in ch.label_pairs(x, frozenset({a, b})):
+                yield law, (x, a, b, c, d)
+
+
+@_axiom("contract_compose_exchange", _Law("x a c y b d", lambda s, x, a, c, y, b, d: (
+    s.contract(s.compose(x, c, y, d), a, b), s.contract(s.compose(x, a, y, b), c, d))))
+def _contract_compose_exchange(ch, law):
+    for x, y in ch.elements(2, 2):
+        for a, c in ch.label_pairs(x, ordered=True):
+            for b, d in ch.label_pairs(y, ordered=True):
+                yield law, (x, a, c, y, b, d)
+
+
+@_axiom("contract_factor_left", _Law("x a c d y b", lambda s, x, a, c, d, y, b: (
+    s.compose(s.contract(x, c, d), a, y, b), s.contract(s.compose(x, a, y, b), c, d))))
+def _contract_factor_left(ch, law):
+    for x, y in ch.elements(3, 1):
+        for a in ch.label(x):
+            for c, d in ch.label_pairs(x, frozenset({a})):
+                for b in ch.label(y):
+                    yield law, (x, a, c, d, y, b)
+
+
+@_axiom("contract_factor_right", _Law("x a y b c d", lambda s, x, a, y, b, c, d: (
+    s.compose(x, a, s.contract(y, c, d), b), s.contract(s.compose(x, a, y, b), c, d))))
+def _contract_factor_right(ch, law):
+    for x, y in ch.elements(1, 3):
+        for a in ch.label(x):
+            for b in ch.label(y):
+                for c, d in ch.label_pairs(y, frozenset({b})):
+                    yield law, (x, a, y, b, c, d)
+
+
+@_axiom("compose_associativity", _Law("x a y b c z d", lambda s, x, a, y, b, c, z, d: (
+    s.compose(x, a, s.compose(y, c, z, d), b), s.compose(s.compose(x, a, y, b), c, z, d))))
+def _compose_associativity(ch, law):
+    for x, y, z in ch.elements(1, 2, 1):
+        for a in ch.label(x):
+            for b, c in ch.label_pairs(y, ordered=True):
+                for d in ch.label(z):
+                    yield law, (x, a, y, b, c, z, d)
+
+
+AXIOM_FAMILIES = tuple(_AXIOMS)
+_ELEMENTS = frozenset("xyz")  # the parameters that hold target elements
 
 
 def check_axioms(target: Target, elements: Iterable, budget: int | None = None) -> LawReport:
@@ -434,127 +533,15 @@ def check_axioms(target: Target, elements: Iterable, budget: int | None = None) 
     partner elements are enumerated exhaustively; ``budget`` caps the
     instance count per family when set.
     """
-    els = list(elements)
-    report = LawReport(f"axiom check against target '{target.name}'")
-    for name in AXIOM_FAMILIES:
-        report.family(name)
-    s = _Session(target, report, budget)
-
-    all_labels = frozenset().union(*(target.labels_of(x) for x in els)) if els else frozenset()
-    groups: dict[frozenset[str], list] = {}
-    for x in els:
-        groups.setdefault(target.labels_of(x), []).append(x)
-    sets = sorted(groups, key=lambda ls: (len(ls), sorted(ls)))
-    disjoint_pairs = [(s1, s2) for s1 in sets for s2 in sets if not s1 & s2]
-
-    def pairs():
-        for s1, s2 in disjoint_pairs:
-            for x in groups[s1]:
-                for y in groups[s2]:
-                    yield x, y
-
-    for x, y in pairs():
-        if s.full("compose_symmetry"):
-            break
-        for a in sorted(target.labels_of(x)):
-            for b in sorted(target.labels_of(y)):
-                _inst_compose_symmetry(s, x, a, y, b)
-
-    for x in els:
-        if s.full("rename_functoriality"):
-            break
-        _inst_rename_identity(s, x)
-        for first in _renamings_for(target.labels_of(x), all_labels, "u"):
-            for second_image in permutations(
-                _fresh_names(len(target.labels_of(x)), all_labels | first.codomain, "v")
-            ):
-                second = Renaming(zip(sorted(first.codomain), second_image))
-                _inst_rename_composition(s, x, first, second)
-
-    for x, y in pairs():
-        if s.full("compose_equivariance"):
-            break
-        lx, ly = target.labels_of(x), target.labels_of(y)
-        for a in sorted(lx):
-            for b in sorted(ly):
-                for rho in _renamings_for(lx, all_labels, "u"):
-                    for sigma in _renamings_for(ly, all_labels | rho.codomain, "v"):
-                        _inst_compose_equivariance(s, x, a, y, b, rho, sigma)
-
-    for x in els:
-        if s.full("contract_equivariance"):
-            break
-        for a, b in combinations(sorted(target.labels_of(x)), 2):
-            for rho in _renamings_for(target.labels_of(x), all_labels, "u"):
-                _inst_contract_equivariance(s, x, a, b, rho)
-
-    for x in els:
-        if s.full("contract_commutativity"):
-            break
-        marks = sorted(target.labels_of(x))
-        for a, b in combinations(marks, 2):
-            for c, d in combinations(sorted(set(marks) - {a, b}), 2):
-                _inst_contract_commutativity(s, x, a, b, c, d)
-
-    for x, y in pairs():
-        if s.full("contract_compose_exchange"):
-            break
-        lx, ly = sorted(target.labels_of(x)), sorted(target.labels_of(y))
-        for a, c in permutations(lx, 2):
-            for b, d in permutations(ly, 2):
-                _inst_contract_compose_exchange(s, x, a, c, y, b, d)
-
-    for x, y in pairs():
-        if s.full("contract_factor_left"):
-            break
-        lx, ly = sorted(target.labels_of(x)), sorted(target.labels_of(y))
-        for a in lx:
-            for c, d in combinations(sorted(set(lx) - {a}), 2):
-                for b in ly:
-                    _inst_contract_factor_left(s, x, a, c, d, y, b)
-
-    for x, y in pairs():
-        if s.full("contract_factor_right"):
-            break
-        lx, ly = sorted(target.labels_of(x)), sorted(target.labels_of(y))
-        for a in lx:
-            for b in ly:
-                for c, d in combinations(sorted(set(ly) - {b}), 2):
-                    _inst_contract_factor_right(s, x, a, y, b, c, d)
-
-    for s1 in sets:
-        if s.full("compose_associativity"):
-            break
-        for s2 in sets:
-            if s1 & s2:
-                continue
-            for s3 in sets:
-                if (s1 | s2) & s3:
-                    continue
-                for x in groups[s1]:
-                    for y in groups[s2]:
-                        for z in groups[s3]:
-                            for a in sorted(s1):
-                                for b, c in permutations(sorted(s2), 2):
-                                    for d in sorted(s3):
-                                        _inst_compose_associativity(s, x, a, y, b, c, z, d)
-
-    return report
+    s = _Session(target, LawReport(f"axiom check against target '{target.name}'"), _ELEMENTS)
+    choices = _AllChoices(target, list(elements))
+    for family, generate in _AXIOMS.items():
+        s.run(family, generate(choices), budget)
+    return s.report
 
 
 # ---------------------------------------------------------------------------
 # randomized axiom driver
-
-
-def _random_renaming(rng: random.Random, labels: frozenset[str], avoid: frozenset[str], tag: str) -> Renaming:
-    src = sorted(labels)
-    if rng.random() < 0.5:
-        image = list(src)
-        rng.shuffle(image)
-    else:
-        image = _fresh_names(len(src), avoid | labels, tag)
-        rng.shuffle(image)
-    return Renaming(zip(src, image))
 
 
 def surface_sampler(max_labels: int = 6, max_g: int = 3, max_extra_empty: int = 2):
@@ -592,77 +579,13 @@ def check_axioms_random(
     avoid the given set.  Results accumulate into ``report`` when passed.
     """
     if report is None:
-        report = LawReport(f"randomized axiom check against target '{target.name}'")
-        for name in AXIOM_FAMILIES:
-            report.family(name)
-    s = _Session(target, report)
-    t = target
-
-    def labels_of(x):
-        return t.labels_of(x)
-
-    def pick(x):
-        return rng.choice(sorted(labels_of(x)))
-
-    def pick2(x, excluded: frozenset[str] = frozenset()):
-        return rng.sample(sorted(labels_of(x) - excluded), 2)
-
+        report = LawReport(f"randomized axiom check against target '{target.name}'",
+                           {name: FamilyResult() for name in AXIOM_FAMILIES})
+    s = _Session(target, report, _ELEMENTS)
+    choices = _RandomChoices(target, sampler, rng)
     for i in range(count):
         family = AXIOM_FAMILIES[i % len(AXIOM_FAMILIES)]
-        if family == "compose_symmetry":
-            x = sampler(rng, frozenset(), 1)
-            y = sampler(rng, labels_of(x), 1)
-            _inst_compose_symmetry(s, x, pick(x), y, pick(y))
-        elif family == "rename_functoriality":
-            x = sampler(rng, frozenset(), 0)
-            if rng.random() < 0.2:
-                _inst_rename_identity(s, x)
-            else:
-                first = _random_renaming(rng, labels_of(x), labels_of(x), "u")
-                second = _random_renaming(rng, first.codomain, labels_of(x) | first.codomain, "v")
-                _inst_rename_composition(s, x, first, second)
-        elif family == "compose_equivariance":
-            x = sampler(rng, frozenset(), 1)
-            y = sampler(rng, labels_of(x), 1)
-            avoid = labels_of(x) | labels_of(y)
-            rho = _random_renaming(rng, labels_of(x), avoid, "u")
-            sigma = _random_renaming(rng, labels_of(y), avoid | rho.codomain, "v")
-            _inst_compose_equivariance(s, x, pick(x), y, pick(y), rho, sigma)
-        elif family == "contract_equivariance":
-            x = sampler(rng, frozenset(), 2)
-            a, b = pick2(x)
-            rho = _random_renaming(rng, labels_of(x), labels_of(x), "u")
-            _inst_contract_equivariance(s, x, a, b, rho)
-        elif family == "contract_commutativity":
-            x = sampler(rng, frozenset(), 4)
-            a, b = pick2(x)
-            c, d = pick2(x, frozenset({a, b}))
-            _inst_contract_commutativity(s, x, a, b, c, d)
-        elif family == "contract_compose_exchange":
-            x = sampler(rng, frozenset(), 2)
-            y = sampler(rng, labels_of(x), 2)
-            a, c = pick2(x)
-            b, d = pick2(y)
-            _inst_contract_compose_exchange(s, x, a, c, y, b, d)
-        elif family == "contract_factor_left":
-            x = sampler(rng, frozenset(), 3)
-            y = sampler(rng, labels_of(x), 1)
-            a = pick(x)
-            c, d = pick2(x, frozenset({a}))
-            _inst_contract_factor_left(s, x, a, c, d, y, pick(y))
-        elif family == "contract_factor_right":
-            x = sampler(rng, frozenset(), 1)
-            y = sampler(rng, labels_of(x), 3)
-            b = pick(y)
-            c, d = pick2(y, frozenset({b}))
-            _inst_contract_factor_right(s, x, pick(x), y, b, c, d)
-        else:
-            x = sampler(rng, frozenset(), 1)
-            y = sampler(rng, labels_of(x), 2)
-            z = sampler(rng, labels_of(x) | labels_of(y), 1)
-            b, c = pick2(y)
-            _inst_compose_associativity(s, x, pick(x), y, b, c, z, pick(z))
-
+        s.run(family, _AXIOMS[family](choices))
     return report
 
 
@@ -678,49 +601,24 @@ def check_cyclic_morphism(
 ) -> LawReport:
     """Verify that ``include`` carries cyclic words into the target lawfully."""
     ws = list(words)
-    report = LawReport(f"cyclic-side morphism check into target '{target.name}'")
-    for name in ("component_preservation", "splice_compatibility", "rename_equivariance"):
-        report.family(name)
-    s = _Session(target, report, budget)
-    all_labels = frozenset().union(*(w.labels for w in ws)) if ws else frozenset()
+    all_labels = frozenset().union(*(w.labels for w in ws))
+    component = _Law("w", lambda s, w: (
+        (target.labels_of(include(w)), target.grade_of(include(w))), (frozenset(w.labels), 0)))
+    spliced = _Law("x a y b", lambda s, x, a, y, b: (
+        include(splice(x, a, y, b)), s.compose(include(x), a, include(y), b)))
+    renamed = _Law("w rho", lambda s, w, rho: (include(w.rename(rho)), s.rename(include(w), rho)))
 
-    for w in ws:
-        if s.full("component_preservation"):
-            break
-        s.check(
-            "component_preservation",
-            [("w", w)],
-            lambda w=w: (target.labels_of(include(w)), target.grade_of(include(w))),
-            lambda w=w: (frozenset(w.labels), 0),
-        )
-
-    for x in ws:
-        if s.full("splice_compatibility"):
-            break
-        for y in ws:
-            if x.labels & y.labels or not x.labels or not y.labels:
-                continue
-            for a in sorted(x.labels):
-                for b in sorted(y.labels):
-                    s.check(
-                        "splice_compatibility",
-                        [("x", x), ("a", a), ("y", y), ("b", b)],
-                        lambda x=x, a=a, y=y, b=b: include(splice(x, a, y, b)),
-                        lambda x=x, a=a, y=y, b=b: s.compose(include(x), a, include(y), b),
-                    )
-
-    for w in ws:
-        if s.full("rename_equivariance"):
-            break
-        for rho in _renamings_for(frozenset(w.labels), all_labels, "u"):
-            s.check(
-                "rename_equivariance",
-                [("w", w), ("rho", rho)],
-                lambda w=w, rho=rho: include(w.rename(rho)),
-                lambda w=w, rho=rho: s.rename(include(w), rho),
-            )
-
-    return report
+    s = _Session(target, LawReport(f"cyclic-side morphism check into target '{target.name}'"))
+    s.run("component_preservation", ((component, (w,)) for w in ws), budget)
+    s.run("splice_compatibility", (
+        (spliced, (x, a, y, b))
+        for x in ws for y in ws if x.labels and y.labels and not x.labels & y.labels
+        for a in sorted(x.labels) for b in sorted(y.labels)
+    ), budget)
+    s.run("rename_equivariance", (
+        (renamed, (w, rho)) for w in ws for rho in _renamings_for(frozenset(w.labels), all_labels, "u")
+    ), budget)
+    return s.report
 
 
 def check_modular_morphism(
@@ -731,88 +629,35 @@ def check_modular_morphism(
 ) -> LawReport:
     """Verify the induced surface-level map respects every operation."""
     qs = list(surfaces)
-    report = LawReport(f"surface-level morphism check into target '{target.name}'")
-    families = (
-        "signature_preservation",
-        "rename_compatibility",
-        "compose_compatibility",
-        "contract_split_compatibility",
-        "contract_merge_compatibility",
-        "genus_zero_restriction",
-    )
-    for name in families:
-        report.family(name)
-    s = _Session(target, report, budget)
-    all_labels = frozenset().union(*(q.labels for q in qs)) if qs else frozenset()
+    all_labels = frozenset().union(*(q.labels for q in qs))
+    F = cache(lambda q: induce(target, include, q))
+    signature = _Law("q", lambda s, q: ((target.labels_of(F(q)), target.grade_of(F(q))), (q.labels, q.grade)))
+    renamed = _Law("q rho", lambda s, q, rho: (F(q.rename(rho)), s.rename(F(q), rho)))
+    composed = _Law("q1 a q2 b", lambda s, q1, a, q2, b: (
+        F(compose(q1, a, q2, b)), s.compose(F(q1), a, F(q2), b)))
+    contracted = _Law("q a b", lambda s, q, a, b: (F(self_glue(q, a, b)), s.contract(F(q), a, b)))
+    restricted = _Law("q", lambda s, q: (F(q), include(q.cycles[0])))
 
-    cache: dict[Surface, object] = {}
+    def contractions(split: bool):
+        return ((contracted, (q, a, b)) for q in qs for a, b in combinations(sorted(q.labels), 2)
+                if (q.cycle_containing(a) is q.cycle_containing(b)) == split)
 
-    def F(q: Surface):
-        if q not in cache:
-            cache[q] = induce(target, include, q)
-        return cache[q]
-
-    for q in qs:
-        if s.full("signature_preservation"):
-            break
-        s.check(
-            "signature_preservation",
-            [("q", q)],
-            lambda q=q: (target.labels_of(F(q)), target.grade_of(F(q))),
-            lambda q=q: (q.labels, q.grade),
-        )
-
-    for q in qs:
-        if s.full("rename_compatibility"):
-            break
-        for rho in _renamings_for(q.labels, all_labels, "u"):
-            s.check(
-                "rename_compatibility",
-                [("q", q), ("rho", rho)],
-                lambda q=q, rho=rho: F(q.rename(rho)),
-                lambda q=q, rho=rho: s.rename(F(q), rho),
-            )
-
-    for q1 in qs:
-        if s.full("compose_compatibility"):
-            break
-        for q2 in qs:
-            if q1.labels & q2.labels:
-                continue
-            for a in sorted(q1.labels):
-                for b in sorted(q2.labels):
-                    s.check(
-                        "compose_compatibility",
-                        [("q1", q1), ("a", a), ("q2", q2), ("b", b)],
-                        lambda q1=q1, a=a, q2=q2, b=b: F(compose(q1, a, q2, b)),
-                        lambda q1=q1, a=a, q2=q2, b=b: s.compose(F(q1), a, F(q2), b),
-                    )
-
-    for q in qs:
-        if s.full("contract_split_compatibility") and s.full("contract_merge_compatibility"):
-            break
-        for a, b in combinations(sorted(q.labels), 2):
-            same = q.cycle_containing(a) is q.cycle_containing(b)
-            family = "contract_split_compatibility" if same else "contract_merge_compatibility"
-            s.check(
-                family,
-                [("q", q), ("a", a), ("b", b)],
-                lambda q=q, a=a, b=b: F(self_glue(q, a, b)),
-                lambda q=q, a=a, b=b: s.contract(F(q), a, b),
-            )
-
-    for q in qs:
-        if s.full("genus_zero_restriction"):
-            break
-        if q.genus == 0 and q.boundary_count == 1:
-            s.check(
-                "genus_zero_restriction",
-                [("q", q)],
-                lambda q=q: F(q),
-                lambda q=q: include(q.cycles[0]),
-            )
-
-    return report
+    s = _Session(target, LawReport(f"surface-level morphism check into target '{target.name}'"))
+    s.run("signature_preservation", ((signature, (q,)) for q in qs), budget)
+    s.run("rename_compatibility", (
+        (renamed, (q, rho)) for q in qs for rho in _renamings_for(q.labels, all_labels, "u")
+    ), budget)
+    s.run("compose_compatibility", (
+        (composed, (q1, a, q2, b))
+        for q1 in qs for q2 in qs if not q1.labels & q2.labels
+        for a in sorted(q1.labels) for b in sorted(q2.labels)
+    ), budget)
+    s.run("contract_split_compatibility", contractions(True), budget)
+    s.run("contract_merge_compatibility", contractions(False), budget)
+    s.run("genus_zero_restriction", (
+        (restricted, (q,)) for q in qs if q.genus == 0 and q.boundary_count == 1
+    ), budget)
+    return s.report
 
 
 @dataclass
@@ -860,9 +705,9 @@ def check_well_definedness(target: Target, include: Callable[[CyclicWord], objec
     )
 
 
-def _subsets(universe: Sequence[str]):
-    for size in range(len(universe) + 1):
-        yield from combinations(universe, size)
+def _first_two_values(s: _Session, include: Callable[[CyclicWord], object], q: Surface):
+    values = check_well_definedness(s.t, include, q).values
+    return values[0], values[1 if len(values) > 1 else 0]
 
 
 def check_universal_property(max_labels: int = 3, max_g: int = 1, budget: int | None = None) -> LawReport:
@@ -873,72 +718,26 @@ def check_universal_property(max_labels: int = 3, max_g: int = 1, budget: int | 
     and the surface-level morphism laws, over every surface on at most
     ``max_labels`` labels with genus at most ``max_g``.
     """
-    universe = tuple(str(i + 1) for i in range(max_labels))
-    surfaces = [
-        q for subset in _subsets(universe) for q in census.enumerate_surfaces(subset, max_g)
-    ]
-    words = [w for subset in _subsets(universe) for w in census.enumerate_cyclic_words(subset)]
+    subsets = list(census.label_subsets(max_labels))
+    surfaces = [q for subset in subsets for q in census.enumerate_surfaces(subset, max_g)]
+    words = [w for subset in subsets for w in census.enumerate_cyclic_words(subset)]
 
     report = LawReport(
         f"universal-property check over {len(surfaces)} surfaces "
         f"(labels <= {max_labels}, genus <= {max_g})"
     )
-    setups: list[tuple[Target, Callable[[CyclicWord], object]]] = [
-        (SurfaceTarget(), surface_inclusion),
-        (TerminalTarget(), terminal_inclusion),
-    ]
-    for target, include in setups:
-        fam = report.family(f"{target.name}.well_definedness")
-        for q in surfaces:
-            if budget is not None and fam.checked >= budget:
-                break
-            fam.checked += 1
-            agreement = check_well_definedness(target, include, q)
-            if not agreement.agreed:
-                fam.failures += 1
-                if fam.counterexample is None:
-                    fam.counterexample = Counterexample(
-                        f"{target.name}.well_definedness",
-                        (("q", str(q)),),
-                        agreement.values[0],
-                        agreement.values[1],
-                    )
-        report.absorb(
-            check_cyclic_morphism(target, include, words, budget), f"{target.name}."
-        )
-        report.absorb(
-            check_modular_morphism(target, include, surfaces, budget), f"{target.name}."
-        )
+    for target, include in ((SurfaceTarget(), surface_inclusion), (TerminalTarget(), terminal_inclusion)):
+        agreed = _Law("q", lambda s, q: _first_two_values(s, include, q))
+        _Session(target, report).run(f"{target.name}.well_definedness", ((agreed, (q,)) for q in surfaces), budget)
+        report.absorb(check_cyclic_morphism(target, include, words, budget), f"{target.name}.")
+        report.absorb(check_modular_morphism(target, include, surfaces, budget), f"{target.name}.")
 
-    fam = report.family("surfaces.identity")
-    surface_target = SurfaceTarget()
-    for q in surfaces:
-        if budget is not None and fam.checked >= budget:
-            break
-        fam.checked += 1
-        got = induce(surface_target, surface_inclusion, q)
-        if got != q:
-            fam.failures += 1
-            if fam.counterexample is None:
-                fam.counterexample = Counterexample(
-                    "surfaces.identity", (("q", str(q)),), str(got), str(q)
-                )
-
-    fam = report.family("terminal.signature_value")
-    terminal_target = TerminalTarget()
-    for q in surfaces:
-        if budget is not None and fam.checked >= budget:
-            break
-        fam.checked += 1
-        got = induce(terminal_target, terminal_inclusion, q)
-        want = TerminalElement(q.labels, q.grade)
-        if got != want:
-            fam.failures += 1
-            if fam.counterexample is None:
-                fam.counterexample = Counterexample(
-                    "terminal.signature_value", (("q", str(q)),), str(got), str(want)
-                )
-
+    identity = _Law("q", lambda s, q: (induce(s.t, surface_inclusion, q), q))
+    _Session(SurfaceTarget(), report).run("surfaces.identity", ((identity, (q,)) for q in surfaces), budget)
+    signature = _Law("q", lambda s, q: (induce(s.t, terminal_inclusion, q), TerminalElement(q.labels, q.grade)))
+    _Session(TerminalTarget(), report).run(
+        "terminal.signature_value", ((signature, (q,)) for q in surfaces), budget
+    )
     return report
 
 

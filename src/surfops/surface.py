@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lexer import TokenStream
+from .lexer import ParseError, TokenStream
 from .words import CyclicWord, Renaming, parse_word_items
 
 
@@ -77,7 +77,17 @@ class Surface:
 
     @classmethod
     def from_json(cls, data: dict) -> "Surface":
-        return cls(data["cycles"], data["g"])
+        """The surface ``{"cycles": [[label, ...], ...], "g": genus}``; a wrong shape is a ParseError."""
+        if not isinstance(data, dict) or "cycles" not in data or "g" not in data:
+            raise ParseError('a JSON surface is an object with the keys "cycles" and "g"')
+        cycles = data["cycles"]
+        if not isinstance(cycles, list) or not all(isinstance(c, list) for c in cycles):
+            raise ParseError('"cycles" must be a list of lists of labels')
+        if not all(isinstance(label, str) for c in cycles for label in c):
+            raise ParseError("labels must be strings")
+        if not isinstance(data["g"], int) or isinstance(data["g"], bool):
+            raise ParseError('"g" must be an integer')
+        return cls(cycles, data["g"])
 
     @classmethod
     def parse(cls, text: str) -> "Surface":

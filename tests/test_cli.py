@@ -115,6 +115,41 @@ def test_check_axioms_cli(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_check_axioms_default_marks_vacuous_families(capsys):
+    code, out, _ = run(capsys, "check-axioms")
+    assert code == 0
+    lines = out.splitlines()
+    vacuous = [line.split()[0] for line in lines if line.endswith("VACUOUS")]
+    assert vacuous == ["contract_commutativity", "contract_compose_exchange", "contract_factor_left",
+                       "contract_factor_right", "compose_associativity"]
+    assert all(" 0 checked " in line for line in lines if line.endswith("VACUOUS"))
+    assert lines[-1] == "  total: 110 checked, 0 failed -> PASS"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-axioms", "--max-labels", "-1"],
+    ["check-axioms", "--max-g", "-1"],
+    ["check-axioms", "--budget", "-5"],
+    ["check-axioms", "--random", "-2"],
+    ["check-envelope", "--max-labels", "-1"],
+    ["check-envelope", "--max-g", "-1"],
+    ["check-envelope", "--budget", "-1"],
+    ["equal", "--certificate", "--depth", "-3", "[ a ; ]", "[ a ; ]"],
+])
+def test_negative_numeric_options_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "nonnegative integer" in err
+
+
+def test_json_surface_errors_exit_1(capsys):
+    for operand in ['{"cycles": [["a","b"]]}', '{"cycles": "ab", "g": 0}', '{"cycles": [["a", 1]], "g": 0}']:
+        code, out, err = run(capsys, "canon", operand)
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error")
+
+
 def test_check_envelope_cli(capsys):
     code, out, _ = run(capsys, "check-envelope", "--max-labels", "2", "--max-g", "1")
     assert code == 0

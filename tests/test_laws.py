@@ -1,11 +1,10 @@
 """Targets, induced maps, axiom and morphism checkers."""
 
 import random
-from itertools import combinations
 
 import pytest
 
-from surfops.census import enumerate_cyclic_words, enumerate_surfaces
+from surfops.census import enumerate_cyclic_words, enumerate_surfaces, label_subsets
 from surfops.laws import (
     SurfaceTarget,
     TerminalElement,
@@ -27,15 +26,21 @@ from surfops.words import CyclicWord, Renaming
 
 
 def small_family(max_labels=2, max_g=1):
-    universe = [str(i + 1) for i in range(max_labels)]
-    subsets = [c for size in range(max_labels + 1) for c in combinations(universe, size)]
-    return [q for sub in subsets for q in enumerate_surfaces(sub, max_g)]
+    return [q for sub in label_subsets(max_labels) for q in enumerate_surfaces(sub, max_g)]
 
 
 def small_words(max_labels=3):
-    universe = [str(i + 1) for i in range(max_labels)]
-    subsets = [c for size in range(max_labels + 1) for c in combinations(universe, size)]
-    return [w for sub in subsets for w in enumerate_cyclic_words(sub)]
+    return [w for sub in label_subsets(max_labels) for w in enumerate_cyclic_words(sub)]
+
+
+class NoGenusBump(SurfaceTarget):
+    def contract(self, x, a, b):
+        ca, cb = x.cycle_containing(a), x.cycle_containing(b)
+        if ca is cb:
+            return self_glue(x, a, b)
+        rest = [w for w in x.cycles if w is not ca and w is not cb]
+        merged = CyclicWord(cb.rotated_to(b)[1:] + ca.rotated_to(a)[1:])
+        return Surface(rest + [merged], x.genus)  # forgets the +1
 
 
 def test_terminal_target_operations():
@@ -80,9 +85,7 @@ def test_axioms_pass_on_surfaces():
 
 
 def test_axioms_pass_on_terminal():
-    universe = ("1", "2", "3", "4")
-    subsets = [c for size in range(5) for c in combinations(universe, size)]
-    elements = [TerminalElement(frozenset(sub), g) for sub in subsets for g in range(3)]
+    elements = [TerminalElement(frozenset(sub), g) for sub in label_subsets(4) for g in range(3)]
     report = check_axioms(TerminalTarget(), elements, budget=400)
     assert report.passed, str(report)
     assert all(f.checked > 0 for f in report.families.values())
@@ -98,15 +101,6 @@ def test_axioms_random_pass():
 
 
 def test_axioms_catch_broken_contract():
-    class NoGenusBump(SurfaceTarget):
-        def contract(self, x, a, b):
-            ca, cb = x.cycle_containing(a), x.cycle_containing(b)
-            if ca is cb:
-                return self_glue(x, a, b)
-            rest = [w for w in x.cycles if w is not ca and w is not cb]
-            merged = CyclicWord(cb.rotated_to(b)[1:] + ca.rotated_to(a)[1:])
-            return Surface(rest + [merged], x.genus)  # forgets the +1
-
     report = check_axioms(NoGenusBump(), small_family())
     assert not report.passed
     bad = [n for n, f in report.families.items() if f.failures]
@@ -118,6 +112,49 @@ def test_axioms_catch_broken_contract():
 def test_budget_caps_instances():
     report = check_axioms(SurfaceTarget(), small_family(), budget=10)
     assert all(f.checked <= 10 for f in report.families.values())
+
+
+# The enumeration order, the budget cut and the counterexample text, pinned verbatim.
+BROKEN_CONTRACT_REPORT = """\
+axiom check against target 'surfaces'
+  compose_symmetry                 8 checked    0 failed  ok
+  rename_functoriality            54 checked    0 failed  ok
+  compose_equivariance            32 checked    0 failed  ok
+  contract_equivariance           16 checked    8 failed  FAIL
+  counterexample for contract_equivariance:
+    x = { ( 1 ) ( 2 ) }^0
+    a = 1
+    b = 2
+    rho = {1->1, 2->2}
+    lhs = bookkeeping broke under contract: got { ( ) }^0
+    rhs = (postcondition)
+  contract_commutativity           0 checked    0 failed  VACUOUS
+  contract_compose_exchange        0 checked    0 failed  VACUOUS
+  contract_factor_left             0 checked    0 failed  VACUOUS
+  contract_factor_right            0 checked    0 failed  VACUOUS
+  compose_associativity            0 checked    0 failed  VACUOUS
+  total: 110 checked, 8 failed -> FAIL"""
+
+BUDGET_10_REPORT = """\
+axiom check against target 'surfaces'
+  compose_symmetry                 8 checked    0 failed  ok
+  rename_functoriality            10 checked    0 failed  ok
+  compose_equivariance            10 checked    0 failed  ok
+  contract_equivariance           10 checked    0 failed  ok
+  contract_commutativity           0 checked    0 failed  VACUOUS
+  contract_compose_exchange        0 checked    0 failed  VACUOUS
+  contract_factor_left             0 checked    0 failed  VACUOUS
+  contract_factor_right            0 checked    0 failed  VACUOUS
+  compose_associativity            0 checked    0 failed  VACUOUS
+  total: 38 checked, 0 failed -> PASS"""
+
+
+def test_broken_contract_report_pinned():
+    assert str(check_axioms(NoGenusBump(), small_family())) == BROKEN_CONTRACT_REPORT
+
+
+def test_budget_report_pinned():
+    assert str(check_axioms(SurfaceTarget(), small_family(), budget=10)) == BUDGET_10_REPORT
 
 
 def test_report_rendering():

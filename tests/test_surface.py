@@ -118,6 +118,34 @@ def test_parse_and_json_round_trip():
     assert Surface.parse("{ ( a ) }^1").to_json() == {"cycles": [["a"]], "g": 1}
 
 
+def test_from_json_missing_key():
+    with pytest.raises(ParseError):
+        Surface.from_json({"cycles": [["a", "b"]]})
+    with pytest.raises(ParseError):
+        Surface.from_json({"g": 0})
+
+
+def test_from_json_string_cycle():
+    # a string must not be split into one-character labels
+    with pytest.raises(ParseError):
+        Surface.from_json({"cycles": "ab", "g": 0})
+    with pytest.raises(ParseError):
+        Surface.from_json({"cycles": ["ab"], "g": 0})
+
+
+def test_from_json_non_string_label():
+    with pytest.raises(ParseError):
+        Surface.from_json({"cycles": [["a", 1]], "g": 0})
+
+
+def test_from_json_genus_types():
+    for genus in ("1", 1.5, True, None):
+        with pytest.raises(ParseError):
+            Surface.from_json({"cycles": [["a"]], "g": genus})
+    with pytest.raises(ValueError):
+        Surface.from_json({"cycles": [["a"]], "g": -1})  # well-formed, but no such surface
+
+
 def test_parse_errors():
     for bad in ["{ ( a ) }", "{ ( a ) }^x", "( a )", "{ ( a ) ( a ) }^0", "{ ( #1 ) }^0"]:
         with pytest.raises(ParseError):
