@@ -97,21 +97,25 @@ def _pairings(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, points[i])] + sub
 
 
-def enumerate_matchings(n: int) -> list[ChordDiagram]:
-    """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching."""
+def _matchings(n: int) -> Iterator[ChordDiagram]:
+    """The (2n-1)!! matching diagrams on base (#1 .. #2n), one at a time, in pairing order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    diagrams = [
-        ChordDiagram([glue(k) for k in range(1, 2 * n + 1)], [(glue(i), glue(j)) for i, j in pairing])
+    base = [glue(k) for k in range(1, 2 * n + 1)]
+    return (
+        ChordDiagram(base, [(glue(i), glue(j)) for i, j in pairing])
         for pairing in _pairings(tuple(range(1, 2 * n + 1)))
-    ]
-    diagrams.sort(key=lambda d: d.arcs)
-    return diagrams
+    )
+
+
+def enumerate_matchings(n: int) -> list[ChordDiagram]:
+    """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching, sorted by arcs."""
+    return sorted(_matchings(n), key=lambda d: d.arcs)
 
 
 def genus_distribution(n: int) -> dict[int, int]:
-    """Counts of evaluated genus over all perfect matchings on 2n points."""
-    counts = Counter(evaluate(d).genus for d in enumerate_matchings(n))
+    """Counts of evaluated genus over all perfect matchings on 2n points, streamed."""
+    counts = Counter(evaluate(d).genus for d in _matchings(n))
     return {g: counts[g] for g in sorted(counts)}
 
 

@@ -259,7 +259,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_check_envelope)
 
     p = sub.add_parser("hz-table", help="genus counts over all matchings of 2n points")
-    p.add_argument("--chords", type=int, required=True, metavar="N")
+    p.add_argument("--chords", type=_nonnegative, required=True, metavar="N")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_hz_table)
 

@@ -1,9 +1,17 @@
 """Chord diagrams: a cyclic base of labels and glue tokens plus an arc matching.
 
-A diagram is pure syntax.  Its meaning is the surface obtained by starting
-from the one-cycle genus-zero surface on the base and self-gluing once per
-arc; the resulting grade always equals the number of arcs, and the result
-does not depend on the order in which arcs are glued.
+A diagram is pure syntax.  Its meaning is the surface obtained from the
+one-cycle genus-zero surface on the base by self-gluing once per arc; the
+grade of that surface always equals the number of arcs, and it does not
+depend on the order in which the arcs are glued.
+
+``evaluate`` computes the value without gluing: a diagram is a disc with one
+band per arc, a one-vertex ribbon graph, and its boundary cycles are the
+orbits of the face permutation "step to the next item; on a glue token, jump
+to the item after its partner".  The genus then follows from the Euler
+characteristic.  ``evaluate(d, order=...)`` folds ``self_glue`` over the arcs
+in the given order instead, and serves as the reference the tracer is tested
+against.
 """
 
 from __future__ import annotations
@@ -125,18 +133,56 @@ class ChordDiagram:
 
 
 def evaluate(d: ChordDiagram, order: Sequence[Arc] | None = None) -> Surface:
-    """The surface denoted by a diagram: glue the base disc once per arc.
+    """The surface denoted by a diagram.
 
-    ``order`` overrides the default arc order (ascending by smaller token
-    id); the result is order-independent, which the test suite checks.
+    By default the boundary cycles are traced as faces in one pass over the
+    base.  With ``order`` the base disc is self-glued once per arc in that
+    order instead; this fold is the reference the tracer is checked against,
+    and the result is order-independent, which the test suite checks.
     """
-    arcs = tuple(order) if order is not None else d.arcs
+    if order is None:
+        return _trace_faces(d)
+    arcs = tuple(order)
     if sorted(map(_sorted_arc_key, arcs)) != sorted(map(_sorted_arc_key, d.arcs)):
         raise ValueError("order must list exactly the diagram arcs")
     out = Surface((CyclicWord(d.base),), 0)
     for x, y in arcs:
         out = self_glue(out, x, y)
     assert out.grade == len(d.arcs)
+    return out
+
+
+def _trace_faces(d: ChordDiagram) -> Surface:
+    """Read the boundary cycles of ``d`` off the orbits of its face permutation."""
+    base = d.base
+    m = len(base)
+    index = {item: i for i, item in enumerate(base)}
+    partner = list(range(m))  # a label is its own partner
+    for x, y in d.arcs:
+        i, j = index[x], index[y]
+        partner[i], partner[j] = j, i
+    seen = [False] * m
+    cycles: list[list[str]] = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        labels: list[str] = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            if partner[p] == p:
+                labels.append(base[p])
+            p = (partner[p] + 1) % m
+        cycles.append(labels)
+    if not cycles:
+        cycles.append([])  # the empty base is one empty boundary cycle
+    k = len(d.arcs)
+    twice_genus = k + 1 - len(cycles)
+    if twice_genus < 0 or twice_genus % 2:
+        raise AssertionError(f"{k} arcs and {len(cycles)} faces break the Euler characteristic")
+    out = Surface(cycles, twice_genus // 2)
+    if out.grade != k:
+        raise AssertionError(f"traced surface has grade {out.grade}, expected {k}")
     return out
 
 

@@ -175,13 +175,16 @@ def neighbors(d: ChordDiagram) -> Iterator[tuple[Move, ChordDiagram]]:
 def find_certificate(d1: ChordDiagram, d2: ChordDiagram, max_depth: int = 4) -> list[Move] | None:
     """A move sequence turning d1 into d2, or None if none exists within depth.
 
-    Moves never change the item multiset or the arcs, so a certificate can
-    exist only when those agree; in that case the search is a breadth-first
-    walk with the frontier ordered by diagram text.
+    Moves never change the item multiset, the arcs or the evaluated surface,
+    so a certificate can exist only when all three agree, and None returns
+    at once otherwise.  When they agree the search is a breadth-first walk
+    with the frontier ordered by diagram text.
     """
     if d1 == d2:
         return []
     if sorted(d1.base) != sorted(d2.base) or d1.arcs != d2.arcs:
+        return None
+    if evaluate(d1) != evaluate(d2):
         return None
     frontier: list[tuple[ChordDiagram, list[Move]]] = [(d1, [])]
     seen = {d1}

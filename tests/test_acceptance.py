@@ -7,6 +7,7 @@ sizes, and seeds are pinned so reruns are bit-for-bit comparable.
 
 import random
 import time
+from collections import Counter
 from itertools import permutations
 
 from oracles import catalan, double_factorial_odd, oracle_distribution
@@ -202,6 +203,8 @@ def test_criterion_7_genus_distribution_oracle(capsys):
     for n in range(1, 6):
         dist = genus_distribution(n)
         ok = ok and dist == oracle_distribution(n)
+        folded = Counter(evaluate(d, order=d.arcs).genus for d in enumerate_matchings(n))
+        ok = ok and folded == oracle_distribution(n)
         ok = ok and sum(dist.values()) == double_factorial_odd(n) == expected_totals[n - 1]
         ok = ok and dist[0] == catalan(n) == expected_catalan[n - 1]
     elapsed = time.monotonic() - start

@@ -85,6 +85,15 @@ def test_equal_verdicts(capsys):
     assert "1 move" in out
 
 
+def test_certificate_inequivalent_at_default_depth(capsys):
+    # Same items and arcs: three handles (genus 3) against two handles and two split-off cycles.
+    arcs = "(#1 #3) (#2 #4) (#5 #7) (#6 #8) (#9 #11) (#10 #12)"
+    three_handles = f"[ a #1 #2 #3 #4 b #5 #6 #7 #8 c #9 #10 #11 #12 ; {arcs} ]"
+    two_handles = f"[ a #1 #3 #2 #4 b #5 #6 #7 #8 c #9 #10 #11 #12 ; {arcs} ]"
+    code, out, _ = run(capsys, "equal", "--certificate", three_handles, two_handles)
+    assert (code, out) == (3, "inequivalent\n")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "[ a #1 ; ]")
     assert code == 1
@@ -135,6 +144,7 @@ def test_check_axioms_default_marks_vacuous_families(capsys):
     ["check-envelope", "--max-g", "-1"],
     ["check-envelope", "--budget", "-1"],
     ["equal", "--certificate", "--depth", "-3", "[ a ; ]", "[ a ; ]"],
+    ["hz-table", "--chords", "-1"],
 ])
 def test_negative_numeric_options_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

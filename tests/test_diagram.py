@@ -1,10 +1,13 @@
 """Chord diagrams: validation, parsing, evaluation, rendering."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surfops.census import enumerate_matchings
+from oracles import genus_boundary_of_matching
+from surfops.census import enumerate_matchings, random_diagram
 from surfops.diagram import ChordDiagram, evaluate, render_dot
 from surfops.lexer import ParseError
 from surfops.surface import Surface
@@ -45,6 +48,31 @@ def test_evaluate_order_override():
     assert forward == backward == evaluate(d)
     with pytest.raises(ValueError):
         evaluate(d, order=[("#1", "#3")])  # not all arcs
+
+
+def test_face_tracing_matches_the_fold():
+    rng = random.Random(20261017)
+    labelled = with_empty = 0
+    for i in range(300):  # every third diagram holds a handle block
+        d = random_diagram(rng, max_labels=6, max_arcs=7, ensure_handle=i % 3 == 0)
+        traced = evaluate(d)
+        assert traced == evaluate(d, order=d.arcs), str(d)
+        labelled += bool(d.user_labels)
+        with_empty += any(len(w) == 0 for w in traced.cycles)
+    assert labelled > 100 and with_empty > 100
+
+
+def test_large_matchings_against_oracle():
+    n = 300
+    chain = [(2 * i + 1, 2 * i + 2) for i in range(n)]
+    points = list(range(1, 2 * n + 1))
+    base = [f"#{k}" for k in points]
+    random.Random(300).shuffle(points)
+    shuffled = [(points[2 * i], points[2 * i + 1]) for i in range(n)]
+    for pairs in (chain, shuffled):
+        q = evaluate(ChordDiagram(base, [(f"#{i}", f"#{j}") for i, j in pairs]))
+        assert (q.genus, q.boundary_count) == genus_boundary_of_matching(n, pairs)
+        assert q.grade == n
 
 
 def test_grade_equals_arc_count():
