@@ -15,12 +15,12 @@ def splice(x: CyclicWord, a: str, y: CyclicWord, b: str) -> CyclicWord:
     if x.labels & y.labels:
         shared = sorted(x.labels & y.labels)
         raise ValueError(f"words share labels {shared}")
-    return CyclicWord(x.rotated_to(a)[1:] + y.rotated_to(b)[1:])
+    return CyclicWord._of(x.rotated_to(a)[1:] + y.rotated_to(b)[1:])
 
 
 def to_surface(w: CyclicWord) -> Surface:
     """Embed a cyclic word as the one-cycle genus-zero surface."""
-    return Surface((w,), 0)
+    return Surface._of((w,), 0)
 
 
 __all__ = ["splice", "to_surface"]

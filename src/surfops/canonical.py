@@ -62,7 +62,7 @@ def _build(genus: int, order: tuple[tuple[str, ...], ...]) -> CanonicalExpressio
         arcs.append((glue(t), glue(t + 2)))
         arcs.append((glue(t + 1), glue(t + 3)))
     return CanonicalExpression(
-        diagram=ChordDiagram(items, arcs),
+        diagram=ChordDiagram._of(tuple(items), tuple(arcs)),
         cycle_order=order,
         separating=tuple(separating),
         handles=tuple(handles),

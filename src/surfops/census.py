@@ -55,12 +55,10 @@ def enumerate_surfaces(labels: Iterable[str], max_g: int) -> list[Surface]:
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
     out: list[Surface] = []
-    if not names:
-        out = [Surface([()], g) for g in range(max_g + 1)]
-    else:
-        for cycles in cycle_decompositions(names):
-            for g in range(max_g + 1):
-                out.append(Surface(cycles, g))
+    for cycles in cycle_decompositions(names):
+        # no labels decompose into no cycles: the surface then has one empty cycle
+        words = [CyclicWord._of(c) for c in cycles] or [CyclicWord._of(())]
+        out += [Surface._of(words, g) for g in range(max_g + 1)]
     out.sort(key=lambda s: (s.genus, str(s)))
     return out
 
@@ -77,11 +75,9 @@ def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:
     names = sorted(set(labels))
     for name in names:
         check_label(name)
-    if not names:
-        return [CyclicWord()]
-    first, rest = names[0], names[1:]
+    first, rest = tuple(names[:1]), names[1:]  # fix the first label; no labels give the empty word
     return sorted(
-        (CyclicWord((first, *tail)) for tail in permutations(rest)),
+        (CyclicWord._of(first + tail) for tail in permutations(rest)),
         key=lambda w: w.items,
     )
 
@@ -101,9 +97,10 @@ def _matchings(n: int) -> Iterator[ChordDiagram]:
     """The (2n-1)!! matching diagrams on base (#1 .. #2n), one at a time, in pairing order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    base = [glue(k) for k in range(1, 2 * n + 1)]
+    base = tuple(glue(k) for k in range(1, 2 * n + 1))
+    # each pairing starts every pair at its lower point, in increasing order: canonical arcs
     return (
-        ChordDiagram(base, [(glue(i), glue(j)) for i, j in pairing])
+        ChordDiagram._of(base, tuple((base[i - 1], base[j - 1]) for i, j in pairing))
         for pairing in _pairings(tuple(range(1, 2 * n + 1)))
     )
 

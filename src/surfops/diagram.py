@@ -12,6 +12,9 @@ to the item after its partner".  The genus then follows from the Euler
 characteristic.  ``evaluate(d, order=...)`` folds ``self_glue`` over the arcs
 in the given order instead, and serves as the reference the tracer is tested
 against.
+
+``ChordDiagram(...)`` checks base and arcs, and ``parse`` goes through it.
+Diagrams derived from valid ones (moves, layouts, matchings) skip the check.
 """
 
 from __future__ import annotations
@@ -19,49 +22,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .lexer import ParseError, TokenStream
-from .surface import Surface, self_glue
-from .words import CyclicWord, check_item, glue_id, is_glue, min_rotation
+from .lexer import TokenStream, _ItemError
+from .surface import Surface, _require_kept, self_glue
+from .words import CyclicWord, _check_items, _items, _Value, is_glue, min_rotation
 
 Arc = tuple[str, str]
 
 
-def _sorted_arc(x: str, y: str) -> Arc:
-    if glue_id(x) <= glue_id(y):
-        return (x, y)
-    return (y, x)
-
-
 @dataclass(frozen=True, init=False)
-class ChordDiagram:
+class ChordDiagram(_Value):
     base: tuple[str, ...]
     arcs: tuple[Arc, ...]
 
     def __init__(self, base: Iterable[str], arcs: Iterable[Sequence[str]] = ()) -> None:
-        items = tuple(base)
-        for item in items:
-            check_item(item)
-        if len(set(items)) != len(items):
-            raise ValueError("diagram base has a repeated item")
-        pair_list = []
+        """Check ``base`` and ``arcs``; a failure names its index in ``base`` followed by the arc endpoints."""
+        items = _items(base)
+        _check_items(items, "item {!r} occurs twice in the base")
+        # a glue token's rank: id order is (length, text) order, and no id is ever converted
+        rank = {item: (len(item), item) for item in items if item.startswith("#")}
         matched: set[str] = set()
-        for pair in arcs:
-            x, y = pair
-            if not (is_glue(x) and is_glue(y)):
-                raise ValueError(f"arcs join glue tokens, got ({x!r} {y!r})")
-            if x == y:
-                raise ValueError(f"arc joins {x} to itself")
-            for t in (x, y):
+        oriented: list[Arc] = []
+        for n, (x, y) in enumerate(map(_items, arcs)):
+            for at, t in enumerate((x, y), len(items) + 2 * n):
+                if t not in rank:
+                    glue_like = isinstance(t, str) and t.startswith("#")
+                    raise _ItemError(f"arc token {t} does not occur in the base" if glue_like
+                                     else f"arcs join glue tokens, got ({x!r} {y!r})", at)
                 if t in matched:
-                    raise ValueError(f"token {t} occurs in more than one arc")
+                    raise _ItemError(f"token {t} occurs in more than one arc", at)
                 matched.add(t)
-            pair_list.append(_sorted_arc(x, y))
-        base_tokens = {item for item in items if is_glue(item)}
-        if matched != base_tokens:
-            loose = sorted(base_tokens ^ matched, key=glue_id)
-            raise ValueError(f"tokens not matched exactly once: {' '.join(loose)}")
-        object.__setattr__(self, "base", min_rotation(items))
-        object.__setattr__(self, "arcs", tuple(sorted(pair_list, key=lambda p: (glue_id(p[0]), glue_id(p[1])))))
+            oriented.append((x, y) if rank[x] < rank[y] else (y, x))
+        for i, item in enumerate(items):
+            if item in rank and item not in matched:
+                raise _ItemError(f"token {item} is never matched by an arc", i)
+        self._build(items, tuple(sorted(oriented, key=lambda arc: rank[arc[0]])))
+
+    def _build(self, base: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
+        """``arcs`` must be canonical already: each from its lower glue id, sorted by that id."""
+        object.__setattr__(self, "base", min_rotation(base))
+        object.__setattr__(self, "arcs", arcs)
 
     @property
     def tokens(self) -> frozenset[str]:
@@ -99,37 +98,20 @@ class ChordDiagram:
     def parse(cls, text: str) -> "ChordDiagram":
         ts = TokenStream(text)
         ts.expect("[")
-        items: list[str] = []
-        positions: dict[str, int] = {}
+        base = []
         while ts.peek().kind in ("name", "glue"):
-            tok = ts.advance()
-            if tok.text in positions:
-                ts.error(f"item {tok.text!r} occurs twice in the base", tok)
-            positions[tok.text] = tok.pos
-            items.append(tok.text)
+            base.append(ts.advance())
         ts.expect(";", "a base item or ';'")
-        arcs: list[Arc] = []
-        matched: set[str] = set()
+        ends = []
         while ts.peek().kind == "(":
             ts.advance()
-            first = ts.expect("glue", "a glue token")
-            second = ts.expect("glue", "a glue token")
+            ends.append(ts.expect("glue", "a glue token"))
+            ends.append(ts.expect("glue", "a glue token"))
             ts.expect(")")
-            for tok in (first, second):
-                if tok.text not in positions:
-                    ts.error(f"arc token {tok.text} does not occur in the base", tok)
-                if tok.text in matched:
-                    ts.error(f"token {tok.text} occurs in more than one arc", tok)
-                matched.add(tok.text)
-            if first.text == second.text:
-                ts.error(f"arc joins {first.text} to itself", second)
-            arcs.append((first.text, second.text))
         ts.expect("]", "an arc or ']'")
         ts.expect_end()
-        for item in items:
-            if is_glue(item) and item not in matched:
-                raise ParseError(f"token {item} is never matched by an arc", text, positions[item])
-        return cls(items, arcs)
+        arcs = [(x.text, y.text) for x, y in zip(ends[::2], ends[1::2])]
+        return ts.build(lambda: cls([tok.text for tok in base], arcs), base + ends)
 
 
 def evaluate(d: ChordDiagram, order: Sequence[Arc] | None = None) -> Surface:
@@ -143,12 +125,12 @@ def evaluate(d: ChordDiagram, order: Sequence[Arc] | None = None) -> Surface:
     if order is None:
         return _trace_faces(d)
     arcs = tuple(order)
-    if sorted(map(_sorted_arc_key, arcs)) != sorted(map(_sorted_arc_key, d.arcs)):
+    if sorted(map(sorted, arcs)) != sorted(map(sorted, d.arcs)):
         raise ValueError("order must list exactly the diagram arcs")
-    out = Surface((CyclicWord(d.base),), 0)
+    out = Surface._of((CyclicWord._of(d.base),), 0)
     for x, y in arcs:
         out = self_glue(out, x, y)
-    assert out.grade == len(d.arcs)
+    _require_kept("the fold", out, len(d.arcs), len(d.base) - 2 * len(d.arcs))
     return out
 
 
@@ -180,15 +162,10 @@ def _trace_faces(d: ChordDiagram) -> Surface:
     twice_genus = k + 1 - len(cycles)
     if twice_genus < 0 or twice_genus % 2:
         raise AssertionError(f"{k} arcs and {len(cycles)} faces break the Euler characteristic")
-    out = Surface(cycles, twice_genus // 2)
+    out = Surface._of([CyclicWord._of(tuple(c)) for c in cycles], twice_genus // 2)
     if out.grade != k:
         raise AssertionError(f"traced surface has grade {out.grade}, expected {k}")
     return out
-
-
-def _sorted_arc_key(pair: Sequence[str]) -> Arc:
-    x, y = pair
-    return _sorted_arc(x, y)
 
 
 def render_dot(d: ChordDiagram) -> str:

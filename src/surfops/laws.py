@@ -132,7 +132,7 @@ def terminal_inclusion(word: CyclicWord) -> TerminalElement:
 
 def evaluate_expression(target: Target, include: Callable[[CyclicWord], object], expr) -> object:
     """Fold an expression's arcs, in stored order, over the included base word."""
-    value = include(CyclicWord(expr.diagram.base))
+    value = include(CyclicWord._of(expr.diagram.base))
     for a, b in expr.diagram.arcs:
         value = target.contract(value, a, b)
     return value
@@ -319,14 +319,14 @@ def _renamings_for(labels: frozenset[str], avoid: frozenset[str], tag: str, fres
     src = sorted(labels)
     fresh = permutations(_fresh_names(len(src), avoid | labels, tag))
     images = fresh if fresh_only else chain(permutations(src), fresh)
-    return (Renaming(zip(src, image)) for image in images)
+    return (Renaming._of(tuple(zip(src, image))) for image in images)
 
 
 def _random_renaming(rng: random.Random, labels: frozenset[str], avoid: frozenset[str], tag: str) -> Renaming:
     src = sorted(labels)
     image = list(src) if rng.random() < 0.5 else _fresh_names(len(src), avoid | labels, tag)
     rng.shuffle(image)
-    return Renaming(zip(src, image))
+    return Renaming._of(tuple(zip(src, image)))
 
 
 class _AllChoices:

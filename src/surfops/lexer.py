@@ -8,6 +8,9 @@ integer) is a glue token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 PUNCTUATION = "(){}[]^;,"
 
@@ -23,6 +26,14 @@ class ParseError(ValueError):
         self.pos = pos
         self.line = line
         self.col = col
+
+
+class _ItemError(ValueError):
+    """A failed value check at the item with position ``index`` in the checked sequence."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -56,8 +67,6 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("glue", f"#{digits}", i))
             i = j
             continue
-        if not ch.isprintable():
-            raise ParseError(f"unprintable character {ch!r}", text, i)
         j = i
         while j < n and not text[j].isspace() and text[j] not in PUNCTUATION and text[j] != "#":
             if not text[j].isprintable():
@@ -101,3 +110,10 @@ class TokenStream:
 
     def error(self, message: str, tok: Token | None = None):
         raise ParseError(message, self.text, (tok or self.peek()).pos)
+
+    def build(self, make: Callable[[], _T], tokens: Sequence[Token]) -> _T:
+        """``make()``, with a check's error at item ``i`` reported as a ParseError at ``tokens[i]``."""
+        try:
+            return make()
+        except _ItemError as exc:
+            self.error(str(exc), tokens[exc.index])

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .diagram import Arc, ChordDiagram, evaluate
-from .words import is_glue
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def _rot(seq: tuple[str, ...], k: int) -> tuple[str, ...]:
 
 
 def _require_arc(d: ChordDiagram, x: str, y: str) -> None:
-    if tuple(sorted((x, y))) not in {tuple(sorted(p)) for p in d.arcs}:
+    if (x, y) not in d.arcs and (y, x) not in d.arcs:
         raise ValueError(f"{{{x}, {y}}} is not an arc of the diagram")
 
 
@@ -77,7 +76,7 @@ def rotate_sides(d: ChordDiagram, arc: Sequence[str], k1: int, k2: int) -> Chord
     seq = d.rotated_to(x)
     j = seq.index(y)
     s1, s2 = seq[1:j], seq[j + 1 :]
-    return ChordDiagram((x,) + _rot(s1, k1) + (y,) + _rot(s2, k2), d.arcs)
+    return ChordDiagram._of((x,) + _rot(s1, k1) + (y,) + _rot(s2, k2), d.arcs)
 
 
 def _reinsert(d: ChordDiagram, segment: tuple[str, ...], outside: tuple[str, ...], after: str | None) -> ChordDiagram:
@@ -88,7 +87,7 @@ def _reinsert(d: ChordDiagram, segment: tuple[str, ...], outside: tuple[str, ...
     if after not in outside:
         raise ValueError(f"insertion point {after!r} is not outside the segment")
     k = outside.index(after)
-    return ChordDiagram(segment + outside[k + 1 :] + outside[: k + 1], d.arcs)
+    return ChordDiagram._of(segment + outside[k + 1 :] + outside[: k + 1], d.arcs)
 
 
 def move_boundary(d: ChordDiagram, first: str, last: str, after: str | None) -> ChordDiagram:
@@ -138,12 +137,10 @@ def _handles(d: ChordDiagram) -> Iterator[tuple[str, str, str, str]]:
     n = len(base)
     if n < 4:
         return
-    arcset = {tuple(sorted(p)) for p in d.arcs}
+    arcset = {frozenset(p) for p in d.arcs}
     for i in range(n):
         block = tuple(base[(i + k) % n] for k in range(4))
-        if all(is_glue(t) for t in block) \
-                and tuple(sorted((block[0], block[2]))) in arcset \
-                and tuple(sorted((block[1], block[3]))) in arcset:
+        if frozenset(block[::2]) in arcset and frozenset(block[1::2]) in arcset:
             yield block
 
 
@@ -182,9 +179,7 @@ def find_certificate(d1: ChordDiagram, d2: ChordDiagram, max_depth: int = 4) -> 
     """
     if d1 == d2:
         return []
-    if sorted(d1.base) != sorted(d2.base) or d1.arcs != d2.arcs:
-        return None
-    if evaluate(d1) != evaluate(d2):
+    if sorted(d1.base) != sorted(d2.base) or d1.arcs != d2.arcs or evaluate(d1) != evaluate(d2):
         return None
     frontier: list[tuple[ChordDiagram, list[Move]]] = [(d1, [])]
     seen = {d1}

@@ -8,38 +8,43 @@ canonical forms.
 
 The grade of a surface with b cycles and genus g is G = 2g + b - 1.
 ``compose`` adds grades, ``self_glue`` raises the grade by exactly one.
+
+``Surface(...)`` checks cycles and genus, and ``parse`` and ``from_json`` go
+through it.  The operations skip that check on their derived results and
+compare the result's grade and label count with what they promise instead.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
-from .lexer import ParseError, TokenStream
-from .words import CyclicWord, Renaming, parse_word_items
+from .lexer import ParseError, TokenStream, _ItemError
+from .words import CyclicWord, Renaming, _check_items, _items, _Value, parse_word_items
 
 
 @dataclass(frozen=True, init=False)
-class Surface:
+class Surface(_Value):
     cycles: tuple[CyclicWord, ...]
     genus: int
+    labels: frozenset[str] = field(compare=False, repr=False)
 
     def __init__(self, cycles: Iterable[CyclicWord | Iterable[str]], genus: int = 0) -> None:
-        words = tuple(c if isinstance(c, CyclicWord) else CyclicWord(c) for c in cycles)
-        if not words:
-            raise ValueError("a surface has at least one boundary cycle")
+        seqs = [c.items if isinstance(c, CyclicWord) else _items(c) for c in _items(cycles)]
+        if not seqs:
+            raise _ItemError("a surface has at least one boundary cycle", 0)
         if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
-        seen: set[str] = set()
-        for w in words:
-            for item in w.items:
-                if item in seen:
-                    raise ValueError(f"label {item!r} occurs in more than one position")
-                seen.add(item)
+        _check_items(chain.from_iterable(seqs), "label {!r} occurs in more than one position")
+        self._build([CyclicWord._of(seq) for seq in seqs], genus)
+
+    def _build(self, words: Iterable[CyclicWord], genus: int) -> None:
         ordered = tuple(sorted(words, key=lambda w: (len(w.items), w.items)))
         object.__setattr__(self, "cycles", ordered)
         object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "labels", frozenset(chain.from_iterable(w.items for w in ordered)))
 
     @property
     def boundary_count(self) -> int:
@@ -48,10 +53,6 @@ class Surface:
     @property
     def grade(self) -> int:
         return 2 * self.genus + len(self.cycles) - 1
-
-    @property
-    def labels(self) -> frozenset[str]:
-        return frozenset(item for w in self.cycles for item in w.items)
 
     def cycle_containing(self, label: str) -> CyclicWord:
         for w in self.cycles:
@@ -63,7 +64,7 @@ class Surface:
         if not self.labels <= renaming.domain:
             missing = sorted(self.labels - renaming.domain)
             raise ValueError(f"renaming does not cover labels {missing}")
-        return Surface((w.rename(renaming) for w in self.cycles), self.genus)
+        return Surface._of([w.rename(renaming) for w in self.cycles], self.genus)
 
     def __str__(self) -> str:
         inner = " ".join(str(w) for w in self.cycles)
@@ -93,24 +94,17 @@ class Surface:
     def parse(cls, text: str) -> "Surface":
         ts = TokenStream(text)
         ts.expect("{")
-        cycles: list[tuple[str, ...]] = []
-        seen: set[str] = set()
+        cycles = []
         while ts.peek().kind == "(":
-            start = ts.index
-            cycles.append(parse_word_items(ts, allow_glue=False))
-            for tok in ts.tokens[start : ts.index]:
-                if tok.kind != "name":
-                    continue
-                if tok.text in seen:
-                    ts.error(f"label {tok.text!r} occurs in more than one position", tok)
-                seen.add(tok.text)
-        ts.expect("}", "'}' or '('")
+            cycles.append(parse_word_items(ts))
+        # the check indexes all labels in order; one past the last (no cycles) is the closing brace
+        toks = [*chain.from_iterable(cycles), ts.expect("}", "'}' or '('")]
         ts.expect("^")
         g_tok = ts.expect("name", "a nonnegative integer genus")
-        if not g_tok.text.isdigit():
+        if not (g_tok.text.isascii() and g_tok.text.isdigit()):
             ts.error("genus must be a nonnegative integer", g_tok)
         ts.expect_end()
-        return cls(cycles, int(g_tok.text))
+        return ts.build(lambda: cls([[tok.text for tok in c] for c in cycles], int(g_tok.text)), toks)
 
 
 def compose(q1: Surface, a: str, q2: Surface, b: str) -> Surface:
@@ -124,13 +118,13 @@ def compose(q1: Surface, a: str, q2: Surface, b: str) -> Surface:
         raise ValueError(f"surfaces share labels {shared}")
     ca = q1.cycle_containing(a)
     cb = q2.cycle_containing(b)
-    spliced = CyclicWord(ca.rotated_to(a)[1:] + cb.rotated_to(b)[1:])
+    spliced = CyclicWord._of(ca.rotated_to(a)[1:] + cb.rotated_to(b)[1:])
     rest1 = list(q1.cycles)
     rest1.remove(ca)
     rest2 = list(q2.cycles)
     rest2.remove(cb)
-    out = Surface(rest1 + rest2 + [spliced], q1.genus + q2.genus)
-    assert out.grade == q1.grade + q2.grade
+    out = Surface._of(rest1 + rest2 + [spliced], q1.genus + q2.genus)
+    _require_kept("compose", out, q1.grade + q2.grade, len(q1.labels) + len(q2.labels) - 2)
     return out
 
 
@@ -150,14 +144,21 @@ def self_glue(q: Surface, a: str, b: str) -> Surface:
     if b in ca:
         seq = ca.rotated_to(a)
         j = seq.index(b)
-        out = Surface(rest + [CyclicWord(seq[j + 1 :]), CyclicWord(seq[1:j])], q.genus)
+        out = Surface._of(rest + [CyclicWord._of(seq[j + 1 :]), CyclicWord._of(seq[1:j])], q.genus)
     else:
         cb = q.cycle_containing(b)
         rest.remove(cb)
-        merged = CyclicWord(cb.rotated_to(b)[1:] + ca.rotated_to(a)[1:])
-        out = Surface(rest + [merged], q.genus + 1)
-    assert out.grade == q.grade + 1
+        merged = CyclicWord._of(cb.rotated_to(b)[1:] + ca.rotated_to(a)[1:])
+        out = Surface._of(rest + [merged], q.genus + 1)
+    _require_kept("self_glue", out, q.grade + 1, len(q.labels) - 2)
     return out
+
+
+def _require_kept(op: str, out: Surface, grade: int, label_count: int) -> None:
+    """The grade and label count an operation promises; a mismatch is a library fault."""
+    if out.grade != grade or len(out.labels) != label_count:
+        raise AssertionError(f"{op} gave {out} with grade {out.grade} and {len(out.labels)} labels, "
+                             f"expected grade {grade} and {label_count} labels")
 
 
 __all__ = ["Surface", "compose", "self_glue"]

@@ -4,6 +4,11 @@ A cyclic word is a finite sequence of pairwise distinct labels considered up
 to rotation.  Words are stored in their canonical rotation (the
 lexicographically smallest one), so equality and hashing are plain value
 comparisons on the stored tuple.
+
+Checks run once, in the public constructors; the parsers read syntax and then
+call them.  A constructor checks, then calls its build step ``_build``, which
+only canonicalises.  Values derived from valid ones (renamed, spliced, glued,
+composed) skip the checks through ``_of``, the build step alone.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .lexer import ParseError, TokenStream
+from .lexer import ParseError, Token, TokenStream, _ItemError
 
 # Reserved in the textual grammars; none of these may appear inside a label.
 RESERVED_CHARS = "(){}[]^#;,"
@@ -29,12 +34,6 @@ def glue(k: int) -> str:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"glue token ids are positive integers, got {k!r}")
     return f"#{k}"
-
-
-def glue_id(item: str) -> int:
-    if not is_glue(item):
-        raise ValueError(f"not a glue token: {item!r}")
-    return int(item[1:])
 
 
 def check_label(name: str) -> str:
@@ -58,6 +57,26 @@ def check_item(name: str) -> str:
     return check_label(name)
 
 
+def _items(seq: Iterable[str]) -> tuple[str, ...]:
+    # a string is a sequence too, but never a sequence of items
+    if isinstance(seq, str):
+        raise ValueError(f"expected a sequence of items, got the string {seq!r}")
+    return tuple(seq)
+
+
+def _check_items(items: Iterable[str], repeated: str) -> None:
+    """Each item valid and none repeated; ``repeated`` formats the error for a repeat."""
+    seen: set[str] = set()
+    for i, item in enumerate(items):
+        try:
+            check_item(item)
+        except ValueError as exc:
+            raise _ItemError(str(exc), i) from None
+        if item in seen:
+            raise _ItemError(repeated.format(item), i)
+        seen.add(item)
+
+
 def min_rotation(items: tuple[str, ...]) -> tuple[str, ...]:
     """The lexicographically smallest rotation of ``items``."""
     if len(items) < 2:
@@ -65,25 +84,31 @@ def min_rotation(items: tuple[str, ...]) -> tuple[str, ...]:
     return min(items[i:] + items[:i] for i in range(len(items)))
 
 
+class _Value:
+    """A value type: ``__init__`` checks its arguments, then calls ``_build``; ``_of`` only builds."""
+
+    @classmethod
+    def _of(cls, *args):
+        value = object.__new__(cls)
+        value._build(*args)
+        return value
+
+
 @dataclass(frozen=True, init=False)
-class Renaming:
+class Renaming(_Value):
     """A bijection between two finite label sets, given by its graph."""
 
     pairs: tuple[tuple[str, str], ...]
 
     def __init__(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]]) -> None:
         items = mapping.items() if isinstance(mapping, Mapping) else list(mapping)
-        pairs = tuple(sorted((src, dst) for src, dst in items))
-        sources = [s for s, _ in pairs]
-        targets = [t for _, t in pairs]
-        for name in sources:
-            check_item(name)
-        for name in targets:
-            check_item(name)
-        if len(set(sources)) != len(sources):
-            raise ValueError("renaming maps some label twice")
-        if len(set(targets)) != len(targets):
-            raise ValueError("renaming is not injective")
+        pairs = tuple(sorted((src, dst) for src, dst in map(_items, items)))
+        _check_items([src for src, _ in pairs], "renaming maps some label twice")
+        _check_items([dst for _, dst in pairs], "renaming is not injective")
+        self._build(pairs)
+
+    def _build(self, pairs: Iterable[tuple[str, str]]) -> None:
+        pairs = tuple(sorted(pairs))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_map", dict(pairs))
 
@@ -109,39 +134,41 @@ class Renaming:
         """The composite 'apply ``first``, then self'."""
         if not first.codomain <= self.domain:
             raise ValueError("renamings do not compose: codomain exceeds domain")
-        return Renaming({src: self(dst) for src, dst in first.pairs})
+        return Renaming._of([(src, self(dst)) for src, dst in first.pairs])
 
     def union(self, other: "Renaming") -> "Renaming":
         if self.domain & other.domain:
             raise ValueError("renaming domains overlap")
-        return Renaming(self.pairs + other.pairs)
+        if self.codomain & other.codomain:
+            raise ValueError("renaming codomains overlap")
+        return Renaming._of(self.pairs + other.pairs)
 
     def restrict(self, labels: Iterable[str]) -> "Renaming":
         keep = frozenset(labels)
         if not keep <= self.domain:
             raise ValueError("cannot restrict a renaming beyond its domain")
-        return Renaming({s: t for s, t in self.pairs if s in keep})
+        return Renaming._of([(s, t) for s, t in self.pairs if s in keep])
 
     def inverse(self) -> "Renaming":
-        return Renaming({t: s for s, t in self.pairs})
+        return Renaming._of([(t, s) for s, t in self.pairs])
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{s}->{t}" for s, t in self.pairs) + "}"
 
 
 @dataclass(frozen=True, init=False)
-class CyclicWord:
+class CyclicWord(_Value):
     """A cyclic sequence of distinct items, stored in canonical rotation."""
 
     items: tuple[str, ...]
 
     def __init__(self, items: Iterable[str] = ()) -> None:
-        seq = tuple(items)
-        for item in seq:
-            check_item(item)
-        if len(set(seq)) != len(seq):
-            raise ValueError(f"cyclic word has a repeated label: {seq!r}")
-        object.__setattr__(self, "items", min_rotation(seq))
+        seq = _items(items)
+        _check_items(seq, "label {!r} occurs twice in the word")
+        self._build(seq)
+
+    def _build(self, items: tuple[str, ...]) -> None:
+        object.__setattr__(self, "items", min_rotation(items))
 
     @property
     def labels(self) -> frozenset[str]:
@@ -165,14 +192,11 @@ class CyclicWord:
         return self.items[i:] + self.items[:i]
 
     def rotations(self) -> Iterator[tuple[str, ...]]:
-        if not self.items:
-            yield ()
-            return
-        for i in range(len(self.items)):
+        for i in range(max(1, len(self.items))):  # the empty word has its one rotation ()
             yield self.items[i:] + self.items[:i]
 
     def rename(self, renaming: Renaming) -> "CyclicWord":
-        return CyclicWord(renaming(item) for item in self.items)
+        return CyclicWord._of(tuple(map(renaming, self.items)))
 
     def __str__(self) -> str:
         inner = " ".join(self.items)
@@ -181,35 +205,25 @@ class CyclicWord:
     @classmethod
     def parse(cls, text: str) -> "CyclicWord":
         ts = TokenStream(text)
-        items = parse_word_items(ts, allow_glue=False)
+        toks = parse_word_items(ts)
         ts.expect_end()
-        seen: set[str] = set()
-        for tok in ts.tokens:
-            if tok.kind == "name" and tok.text in seen:
-                ts.error(f"label {tok.text!r} occurs twice in the word", tok)
-            seen.add(tok.text)
-        return cls(items)
+        return ts.build(lambda: cls(tok.text for tok in toks), toks)
 
 
-def parse_word_items(ts: TokenStream, allow_glue: bool) -> tuple[str, ...]:
-    """Parse a parenthesized item list ``( item* )`` from the stream."""
+def parse_word_items(ts: TokenStream) -> list[Token]:
+    """Parse a parenthesized label list ``( label* )`` from the stream; the label tokens."""
     ts.expect("(")
-    items: list[str] = []
+    toks: list[Token] = []
     while True:
         tok = ts.peek()
         if tok.kind == ")":
             ts.advance()
-            return tuple(items)
-        if tok.kind == "name":
-            items.append(tok.text)
-            ts.advance()
-        elif tok.kind == "glue":
-            if not allow_glue:
-                ts.error("glue tokens are not allowed in this context", tok)
-            items.append(tok.text)
-            ts.advance()
-        else:
+            return toks
+        if tok.kind == "glue":
+            ts.error("glue tokens are not allowed in this context", tok)
+        if tok.kind != "name":
             ts.error("expected a label or ')'", tok)
+        toks.append(ts.advance())
 
 
 __all__ = [
@@ -221,7 +235,6 @@ __all__ = [
     "check_item",
     "is_glue",
     "glue",
-    "glue_id",
     "min_rotation",
     "parse_word_items",
 ]

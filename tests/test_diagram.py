@@ -146,6 +146,8 @@ def test_arc_normalization():
         [(f"#{k}", f"#{k + 12}") for k in range(1, 13)],
     )
     assert d2.arcs[1] == ("#2", "#14")
+    huge = "#" + "9" * 5000  # past the digit limit of int(): ids are ordered without converting them
+    assert ChordDiagram.parse(f"[ {huge} #10 ; ({huge} #10) ]").arcs == (("#10", huge),)
 
 
 def test_validation_direct_construction():
@@ -176,3 +178,22 @@ def test_evaluate_indifferent_to_rotation(n, seed_rot):
     for d in enumerate_matchings(n)[:5]:
         rotated = ChordDiagram(d.base[seed_rot:] + d.base[:seed_rot], d.arcs)
         assert evaluate(rotated) == evaluate(d)
+
+
+def test_constructor_rejects_a_bare_string():
+    # a string is a sequence of characters, never of items
+    with pytest.raises(ValueError, match="got the string 'ab'"):
+        ChordDiagram("ab", ())
+
+
+def test_constructor_errors_take_the_parser_wording():
+    cases = [
+        ((("a", "b", "a"), ()), "item 'a' occurs twice in the base"),
+        ((("#1", "#2"), [("#1", "#3")]), "arc token #3 does not occur in the base"),
+        ((("#1", "#2"), [("#1", "#1")]), "token #1 occurs in more than one arc"),
+        ((("#1", "#2", "#3"), [("#1", "#2")]), "token #3 is never matched by an arc"),
+        ((("a", "#1"), [("a", "#1")]), "arcs join glue tokens, got \\('a' '#1'\\)"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ChordDiagram(*args)

@@ -180,3 +180,18 @@ def test_compose_grade_additive(xs, ys, g):
     out = compose(left, xs[0] + "L", right, ys[0] + "R")
     assert out.grade == left.grade + right.grade
     assert out.genus == 3
+
+
+def test_constructor_rejects_a_bare_string():
+    # a string is a sequence of characters, never of labels
+    with pytest.raises(ValueError, match="got the string 'ab'"):
+        Surface(["ab"])
+    with pytest.raises(ValueError, match="got the string 'ab'"):
+        Surface("ab")
+    assert Surface([["ab"]]).labels == frozenset({"ab"})
+
+
+def test_labels_are_cached_with_the_value():
+    q = Surface([("a", "b"), ("c",)], 1)
+    assert q.labels is q.labels == frozenset("abc")
+    assert "labels" not in repr(q) and q == Surface([("c",), ("b", "a")], 1)

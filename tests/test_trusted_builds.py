@@ -1,0 +1,101 @@
+"""Values the library builds without checks, cross-checked against the public constructors."""
+
+import random
+import subprocess
+import sys
+from collections import Counter
+
+import pytest
+
+from surfops.canonical import all_canonical_diagrams
+from surfops.census import enumerate_matchings, enumerate_surfaces, label_subsets, random_diagram
+from surfops.diagram import ChordDiagram
+from surfops.laws import SurfaceTarget, check_axioms
+from surfops.rewrite import neighbors
+from surfops.surface import Surface
+from surfops.words import CyclicWord, Renaming
+
+VALUE_TYPES = (CyclicWord, Surface, ChordDiagram, Renaming)
+
+
+@pytest.fixture
+def cross_checked(monkeypatch):
+    """Make every trusted build also call the public constructor, which must accept it and agree.
+
+    Yields the number of trusted builds per type.
+    """
+    built = Counter()
+    for cls in VALUE_TYPES:
+        def trusted(*args, cls=cls, build=cls._of):
+            value = build(*args)
+            public = cls(*args)
+            assert vars(public) == vars(value), f"{cls.__name__}{args!r}: {public!r} != {value!r}"
+            built[cls.__name__] += 1
+            return value
+
+        monkeypatch.setattr(cls, "_of", staticmethod(trusted))
+    return built
+
+
+def _pool():
+    return [q for subset in label_subsets(3) for q in enumerate_surfaces(subset, 1)]
+
+
+def test_laws_build_only_valid_values(cross_checked):
+    report = check_axioms(SurfaceTarget(), _pool())
+    assert report.passed and report.total_checked > 1000
+    assert all(cross_checked[cls.__name__] for cls in (CyclicWord, Surface, Renaming)), cross_checked
+
+
+def test_moves_build_only_valid_values(cross_checked):
+    rng = random.Random(20261018)
+    successors = 0
+    for i in range(100):
+        d = random_diagram(rng, max_labels=4, max_arcs=4, ensure_handle=i % 4 == 0)
+        successors += len(list(neighbors(d)))
+    assert cross_checked["ChordDiagram"] == successors > 1000
+
+
+def test_matchings_and_layouts_build_only_valid_values(cross_checked):
+    assert [len(enumerate_matchings(n)) for n in range(5)] == [1, 1, 3, 15, 105]
+    layouts = sum(len(all_canonical_diagrams(q)) for q in _pool())
+    assert cross_checked["ChordDiagram"] == 1 + 1 + 3 + 15 + 105 + layouts
+
+
+def test_cross_check_catches_bad_trusted_arguments(cross_checked):
+    with pytest.raises(AssertionError):
+        ChordDiagram._of(("#1", "#2"), (("#2", "#1"),))  # arcs not in canonical form
+    with pytest.raises(ValueError):
+        Surface._of([CyclicWord(["a"]), CyclicWord(["a"])], 0)  # a repeated label
+
+
+_DROP_A_LABEL = """
+from surfops.diagram import ChordDiagram, evaluate
+from surfops.surface import Surface, compose, self_glue
+from surfops.words import CyclicWord
+
+assert False, "asserts must be off"  # stripped by -O
+q1, q2, q3 = (Surface.parse(t) for t in ("{ ( a x y ) }^0", "{ ( c z ) }^1", "{ ( a 1 b 2 ) }^0"))
+build = Surface._build
+
+def drop_a_label(self, words, genus):
+    words = list(words)
+    i = next(i for i, w in enumerate(words) if len(w))
+    words[i] = CyclicWord._of(words[i].items[1:])
+    build(self, words, genus)
+
+Surface._build = drop_a_label
+for name, call in (("compose", lambda: compose(q1, "a", q2, "c")), ("self_glue", lambda: self_glue(q3, "a", "b")),
+                   ("fold", lambda: evaluate(ChordDiagram.parse("[ p q ; ]"), order=()))):
+    try:
+        call()
+    except AssertionError as exc:
+        print(name, "caught:", exc)
+"""
+
+
+def test_operations_catch_a_faulty_build_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", _DROP_A_LABEL], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    caught = [line.split()[0] for line in proc.stdout.splitlines() if " caught: " in line]
+    assert caught == ["compose", "self_glue", "fold"], proc.stdout

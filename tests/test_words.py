@@ -124,3 +124,21 @@ def test_rotated_to_and_rotations():
     assert list(CyclicWord(()).rotations()) == [()]
     with pytest.raises(ValueError):
         w.rotated_to("z")
+
+
+def test_constructors_reject_a_bare_string():
+    # a string is a sequence of characters, never of labels
+    with pytest.raises(ValueError, match="got the string 'abc'"):
+        CyclicWord("abc")
+    with pytest.raises(ValueError, match="got the string 'ab'"):
+        Renaming(["ab", "cd"])
+
+
+def test_word_errors_name_the_item():
+    with pytest.raises(ValueError, match="label 'a' occurs twice in the word"):
+        CyclicWord(("a", "b", "a"))
+
+
+def test_union_needs_disjoint_codomains():
+    with pytest.raises(ValueError, match="renaming codomains overlap"):
+        Renaming({"a": "x"}).union(Renaming({"b": "x"}))
