@@ -3,7 +3,10 @@
 Exhaustive streams are emitted in a documented deterministic order: surfaces
 ordered by (genus, canonical text), matchings ordered by their arc lists.
 The genus table tabulates, for all perfect matchings on 2n points around a
-circle, the genus of the evaluated surface.
+circle, the genus of the evaluated surface.  It counts faces on integer
+pairings (``partner[p]``, the point matched to ``p``) and builds no diagram
+or surface; ``enumerate_matchings`` builds the diagrams from the same
+pairings.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations, permutations
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .diagram import ChordDiagram, evaluate
+from .diagram import ChordDiagram
 from .surface import Surface
 from .words import CyclicWord, check_label, glue
 
@@ -82,38 +86,90 @@ def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:
     )
 
 
-def _pairings(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-    if not points:
-        yield []
-        return
-    first = points[0]
-    for i in range(1, len(points)):
-        rest = points[1:i] + points[i + 1 :]
-        for sub in _pairings(rest):
-            yield [(first, points[i])] + sub
+_MAX_CHORDS = 9  # n = 9 is 34 459 425 matchings; n = 10 would be 654 729 075
 
 
-def _matchings(n: int) -> Iterator[ChordDiagram]:
-    """The (2n-1)!! matching diagrams on base (#1 .. #2n), one at a time, in pairing order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    base = tuple(glue(k) for k in range(1, 2 * n + 1))
-    # each pairing starts every pair at its lower point, in increasing order: canonical arcs
-    return (
-        ChordDiagram._of(base, tuple((base[i - 1], base[j - 1]) for i, j in pairing))
-        for pairing in _pairings(tuple(range(1, 2 * n + 1)))
-    )
+def _partner_arrays(m: int) -> Iterator[list[int]]:
+    """Every perfect matching of the points 0 .. m-1, as ``partner[p]``, the point matched to ``p``.
+
+    One list is filled in place by backtracking (the least unmatched point is
+    paired with each later unmatched point in turn) and yielded at every leaf,
+    so a caller that keeps a matching must copy it.
+    """
+    partner = [-1] * m
+
+    def fill(first: int) -> Iterator[list[int]]:
+        while first < m and partner[first] >= 0:
+            first += 1
+        if first == m:
+            yield partner
+            return
+        for j in range(first + 1, m):
+            if partner[j] < 0:
+                partner[first], partner[j] = j, first
+                yield from fill(first + 1)
+                partner[j] = -1
+        partner[first] = -1
+
+    return fill(0)
+
+
+def _face_count(partner: list[int]) -> int:
+    """The faces of a matching: orbits of ``p -> partner[p] + 1 (mod m)``; no points are one face."""
+    m = len(partner)
+    seen = [False] * m
+    faces = 0
+    for start in range(m):
+        if seen[start]:
+            continue
+        faces += 1
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = partner[p] + 1
+            if p == m:
+                p = 0
+    return faces or 1
 
 
 def enumerate_matchings(n: int) -> list[ChordDiagram]:
     """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching, sorted by arcs."""
-    return sorted(_matchings(n), key=lambda d: d.arcs)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    base = tuple(glue(k) for k in range(1, 2 * n + 1))
+    # each arc starts at its lower point, in increasing order: canonical arcs
+    return sorted(
+        (
+            ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
+            for partner in _partner_arrays(2 * n)
+        ),
+        key=lambda d: d.arcs,
+    )
 
 
 def genus_distribution(n: int) -> dict[int, int]:
-    """Counts of evaluated genus over all perfect matchings on 2n points, streamed."""
-    counts = Counter(evaluate(d).genus for d in _matchings(n))
-    return {g: counts[g] for g in sorted(counts)}
+    """Counts of genus over all (2n-1)!! perfect matchings on 2n points, for 0 <= n <= 9.
+
+    The census counts faces on integer pairings and builds no diagram or
+    surface: gluing a band along each of the n arcs of a matching to a disc
+    leaves f boundary cycles and genus g with 2g = n + 1 - f.  Larger n is a
+    ValueError, because the count (2n-1)!! grows factorially.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > _MAX_CHORDS:
+        count = prod(range(1, 2 * min(n, 50), 2))  # exact up to n = 50, a lower bound past it
+        size = count if n <= 50 else f"more than {count:.1e}"
+        raise ValueError(f"the census of n = {n} chords would enumerate (2n-1)!! = {size} matchings; "
+                         f"it is limited to n <= {_MAX_CHORDS}")
+    by_faces = Counter(_face_count(partner) for partner in _partner_arrays(2 * n))
+    counts: dict[int, int] = {}
+    for faces, count in by_faces.items():
+        twice_genus = n + 1 - faces
+        if twice_genus < 0 or twice_genus % 2:
+            raise AssertionError(f"{n} arcs and {faces} faces break the Euler characteristic")
+        counts[twice_genus // 2] = count
+    return dict(sorted(counts.items()))
 
 
 def distribution_rows(dist: dict[int, int]) -> str:

@@ -52,7 +52,7 @@ def _parse_surface(text: str) -> Surface:
     if stripped.startswith("{") and stripped[1:].lstrip().startswith('"'):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
             raise ParseError(f"invalid JSON: {exc}") from exc
         return Surface.from_json(data)
     return Surface.parse(text)

@@ -101,10 +101,14 @@ class Surface(_Value):
         toks = [*chain.from_iterable(cycles), ts.expect("}", "'}' or '('")]
         ts.expect("^")
         g_tok = ts.expect("name", "a nonnegative integer genus")
-        if not (g_tok.text.isascii() and g_tok.text.isdigit()):
+        try:
+            genus = int(g_tok.text) if g_tok.text.isascii() and g_tok.text.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            genus = -1
+        if genus < 0:
             ts.error("genus must be a nonnegative integer", g_tok)
         ts.expect_end()
-        return ts.build(lambda: cls([[tok.text for tok in c] for c in cycles], int(g_tok.text)), toks)
+        return ts.build(lambda: cls([[tok.text for tok in c] for c in cycles], genus), toks)
 
 
 def compose(q1: Surface, a: str, q2: Surface, b: str) -> Surface:

@@ -1,11 +1,13 @@
 """Generators: exhaustive enumeration counts, determinism, random samplers."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from oracles import double_factorial_odd, oracle_distribution
 from surfops.census import (
+    _face_count,
     cycle_decompositions,
     distribution_rows,
     enumerate_cyclic_words,
@@ -15,9 +17,9 @@ from surfops.census import (
     random_diagram,
     random_surface,
 )
-from surfops.diagram import evaluate
+from surfops.diagram import ChordDiagram, evaluate
 from surfops.surface import Surface
-from surfops.words import CyclicWord, is_glue
+from surfops.words import CyclicWord, glue, is_glue
 
 
 def test_enumerate_surfaces_counts():
@@ -66,6 +68,65 @@ def test_matchings_are_deterministic_and_distinct():
 def test_distribution_matches_oracle():
     for n in range(1, 4):
         assert genus_distribution(n) == oracle_distribution(n)
+
+
+def _reference_pairings(points):
+    """Every pairing of ``points`` by recursive concatenation: the construction the census replaced."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for i in range(1, len(points)):
+        rest = points[1:i] + points[i + 1 :]
+        for sub in _reference_pairings(rest):
+            yield [(first, points[i])] + sub
+
+
+def _reference_matchings(n):
+    base = tuple(glue(k) for k in range(1, 2 * n + 1))
+    diagrams = (
+        ChordDiagram._of(base, tuple((base[i - 1], base[j - 1]) for i, j in pairing))
+        for pairing in _reference_pairings(tuple(range(1, 2 * n + 1)))
+    )
+    return sorted(diagrams, key=lambda d: d.arcs)
+
+
+def test_matchings_equal_the_recursive_reference():
+    for n in range(7):
+        assert enumerate_matchings(n) == _reference_matchings(n)
+
+
+def test_distribution_equals_evaluated_matchings():
+    for n in range(7):
+        dist = genus_distribution(n)
+        evaluated = Counter(evaluate(d).genus for d in enumerate_matchings(n))
+        assert (dist, list(dist)) == (evaluated, sorted(evaluated))
+
+
+def test_distribution_of_no_and_one_chord():
+    assert _face_count([]) == 1  # the empty base is one face
+    assert _face_count([1, 0]) == 2
+    assert genus_distribution(0) == {0: 1}
+    assert genus_distribution(1) == {0: 1}
+    with pytest.raises(ValueError):
+        genus_distribution(-1)
+
+
+def test_distribution_is_limited():
+    for n in (10, 11, 10**12):
+        with pytest.raises(ValueError, match=r"\(2n-1\)!! = .* it is limited to n <= 9"):
+            genus_distribution(n)
+    with pytest.raises(ValueError, match="= 654729075 matchings"):
+        genus_distribution(10)
+
+
+def test_distribution_builds_no_diagram_word_or_surface(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census built a per-matching object")
+
+    for cls, name in [(ChordDiagram, "_of"), (ChordDiagram, "__init__"), (Surface, "_of"), (CyclicWord, "_of")]:
+        monkeypatch.setattr(cls, name, refuse)
+    assert genus_distribution(5) == oracle_distribution(5)
 
 
 def test_distribution_rows_format():

@@ -174,6 +174,13 @@ def test_hz_table(capsys):
     assert json.loads(out)["counts"] == {"0": 5, "1": 10}
 
 
+def test_hz_table_census_limit(capsys):
+    code, out, err = run(capsys, "hz-table", "--chords", "10")
+    assert (code, out) == (2, "")
+    assert err == ("error: the census of n = 10 chords would enumerate (2n-1)!! = 654729075 matchings; "
+                   "it is limited to n <= 9\n")
+
+
 def test_render(capsys):
     code, out, _ = run(capsys, "render", "[ a #1 b #2 ; (#1 #2) ]")
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surfops.cli import main
+from surfops.cli import _parse_surface, main
 from surfops.diagram import ChordDiagram
 from surfops.lexer import ParseError
 from surfops.surface import Surface
@@ -97,6 +97,28 @@ def test_malformed_surface_text_is_a_cli_parse_error(capsys, argv, err):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
+
+
+# 5000 digits: more than int() converts from a string by default
+HUGE_GENUS = "1" * 5000
+HUGE_GENUS_OPERANDS = [f"{{ ( a ) }}^{HUGE_GENUS}", f'{{"cycles": [["a"]], "g": {HUGE_GENUS}}}']
+
+
+def test_huge_genus_is_a_parse_error_at_the_genus_token():
+    with pytest.raises(ParseError) as info:
+        Surface.parse(HUGE_GENUS_OPERANDS[0])
+    exc = info.value
+    assert (exc.reason, exc.line, exc.col) == ("genus must be a nonnegative integer", 1, 11)
+    with pytest.raises(ParseError, match="invalid JSON: Exceeds the limit"):
+        _parse_surface(HUGE_GENUS_OPERANDS[1])
+
+
+@pytest.mark.parametrize("operand", HUGE_GENUS_OPERANDS, ids=["text", "json"])
+def test_huge_genus_is_a_cli_parse_error(capsys, operand):
+    assert main(["canon", operand]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
 
 
 # ---------------------------------------------------------------------------
