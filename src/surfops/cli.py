@@ -72,10 +72,14 @@ def _parse_renaming(text: str) -> Renaming:
 
 
 def _nonnegative(text: str) -> int:
-    """argparse type for counts, sizes and depths: a nonnegative integer."""
+    """argparse type for counts, sizes and depths: a nonnegative integer in ASCII digits only.
+
+    ``int`` alone would also take other scripts' digits, underscores and
+    surrounding whitespace, as ``Surface.parse`` refuses to for a genus.
+    """
     try:
-        value = int(text)
-    except ValueError:
+        value = int(text) if text.isascii() and text.isdigit() else -1
+    except ValueError:  # more digits than int() converts
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .lexer import TokenStream, _ItemError
 from .surface import Surface, _require_kept, self_glue
-from .words import CyclicWord, _check_items, _items, _Value, is_glue, min_rotation
+from .words import CyclicWord, _check_items, _items, _least_first, _Value, is_glue
 
 Arc = tuple[str, str]
 
@@ -58,8 +58,11 @@ class ChordDiagram(_Value):
         self._build(items, tuple(sorted(oriented, key=lambda arc: rank[arc[0]])))
 
     def _build(self, base: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
-        """``arcs`` must be canonical already: each from its lower glue id, sorted by that id."""
-        object.__setattr__(self, "base", min_rotation(base))
+        """Store the canonical rotation of ``base``, whose items must be pairwise distinct.
+
+        ``arcs`` must be canonical already: each from its lower glue id, sorted by that id.
+        """
+        object.__setattr__(self, "base", _least_first(base))
         object.__setattr__(self, "arcs", arcs)
 
     @property

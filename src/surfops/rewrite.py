@@ -69,13 +69,25 @@ def _require_arc(d: ChordDiagram, x: str, y: str) -> None:
         raise ValueError(f"{{{x}, {y}}} is not an arc of the diagram")
 
 
+def _sides(d: ChordDiagram, x: str, y: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(S1, S2) where the base reads x S1 y S2 cyclically; x and y are distinct base items."""
+    base = d.base
+    i, j = base.index(x), base.index(y)
+    if i < j:
+        return base[i + 1 : j], base[j + 1 :] + base[:i]
+    return base[i + 1 :] + base[:j], base[j + 1 : i]
+
+
+def _reinserted(segment: tuple[str, ...], outside: tuple[str, ...], k: int, arcs: tuple[Arc, ...]) -> ChordDiagram:
+    """The diagram with ``segment`` cut out of ``segment + outside`` and put back after ``outside[k]``."""
+    return ChordDiagram._of(segment + outside[k + 1 :] + outside[: k + 1], arcs)
+
+
 def rotate_sides(d: ChordDiagram, arc: Sequence[str], k1: int, k2: int) -> ChordDiagram:
     """Rotate the two sides of the pivot arc by k1 and k2 positions."""
     x, y = arc
     _require_arc(d, x, y)
-    seq = d.rotated_to(x)
-    j = seq.index(y)
-    s1, s2 = seq[1:j], seq[j + 1 :]
+    s1, s2 = _sides(d, x, y)
     return ChordDiagram._of((x,) + _rot(s1, k1) + (y,) + _rot(s2, k2), d.arcs)
 
 
@@ -86,16 +98,14 @@ def _reinsert(d: ChordDiagram, segment: tuple[str, ...], outside: tuple[str, ...
         return d
     if after not in outside:
         raise ValueError(f"insertion point {after!r} is not outside the segment")
-    k = outside.index(after)
-    return ChordDiagram._of(segment + outside[k + 1 :] + outside[: k + 1], d.arcs)
+    return _reinserted(segment, outside, outside.index(after), d.arcs)
 
 
 def move_boundary(d: ChordDiagram, first: str, last: str, after: str | None) -> ChordDiagram:
     """Relocate the contiguous segment from ``first`` to ``last`` (arc partners)."""
     _require_arc(d, first, last)
-    seq = d.rotated_to(first)
-    j = seq.index(last)
-    return _reinsert(d, seq[: j + 1], seq[j + 1 :], after)
+    s1, s2 = _sides(d, first, last)
+    return _reinsert(d, (first,) + s1 + (last,), s2, after)
 
 
 def move_handle(d: ChordDiagram, tokens: Sequence[str], after: str | None) -> ChordDiagram:
@@ -132,41 +142,50 @@ def equivalent(d1: ChordDiagram, d2: ChordDiagram) -> bool:
     return evaluate(d1) == evaluate(d2)
 
 
-def _handles(d: ChordDiagram) -> Iterator[tuple[str, str, str, str]]:
+def _handles(d: ChordDiagram) -> Iterator[tuple[tuple[str, str, str, str], tuple[str, ...]]]:
+    """Each handle block of the base, in base order, with the items outside it in base order after it."""
     base = d.base
     n = len(base)
     if n < 4:
         return
-    arcset = {frozenset(p) for p in d.arcs}
+    partner = {}
+    for x, y in d.arcs:
+        partner[x], partner[y] = y, x
+    ring = base + base[:3]
     for i in range(n):
-        block = tuple(base[(i + k) % n] for k in range(4))
-        if frozenset(block[::2]) in arcset and frozenset(block[1::2]) in arcset:
-            yield block
+        a, b, c, e = ring[i : i + 4]
+        if partner.get(a) == c and partner.get(b) == e:
+            seq = base[i:] + base[:i]
+            yield seq[:4], seq[4:]
 
 
 def neighbors(d: ChordDiagram) -> Iterator[tuple[Move, ChordDiagram]]:
-    """All single-move successors of ``d``, in a deterministic order."""
-    for arc in d.arcs:
+    """All single-move successors of ``d``, in a deterministic order.
+
+    The sides and positions of each arc and handle are computed once, and
+    every successor is built from them directly, without the checks of the
+    move functions.  ``apply_move`` is the checked path, and gives the same
+    diagram for each move yielded here.
+    """
+    arcs = d.arcs
+    sides = [(arc, _sides(d, *arc)) for arc in arcs]
+    for arc, (s1, s2) in sides:
         x, y = arc
-        seq = d.rotated_to(x)
-        j = seq.index(y)
-        n1, n2 = j - 1, len(seq) - j - 1
-        for k1 in range(max(1, n1)):
-            for k2 in range(max(1, n2)):
+        tails = [(y,) + _rot(s2, k2) for k2 in range(max(1, len(s2)))]
+        for k1 in range(max(1, len(s1))):
+            head = (x,) + _rot(s1, k1)
+            for k2, tail in enumerate(tails):
                 if k1 or k2:
-                    yield RotateMove(arc, k1, k2), rotate_sides(d, arc, k1, k2)
-    for arc in d.arcs:
-        for first, last in (arc, arc[::-1]):
-            seq = d.rotated_to(first)
-            j = seq.index(last)
-            segment, outside = seq[: j + 1], seq[j + 1 :]
-            for after in outside[:-1]:  # the final item is the current position
-                yield BoundaryMove(first, last, after), _reinsert(d, segment, outside, after)
-    for block in _handles(d):
-        seq = d.rotated_to(block[0])
-        outside = seq[4:]
-        for after in outside[:-1]:
-            yield HandleMove(block, after), _reinsert(d, seq[:4], outside, after)
+                    yield RotateMove(arc, k1, k2), ChordDiagram._of(head + tail, arcs)
+    for (x, y), (s1, s2) in sides:
+        # the segment x S1 y has S2 outside it, and y S2 x has S1
+        for first, last, inside, outside in ((x, y, s1, s2), (y, x, s2, s1)):
+            segment = (first,) + inside + (last,)
+            for k, after in enumerate(outside[:-1]):  # the final item is the current position
+                yield BoundaryMove(first, last, after), _reinserted(segment, outside, k, arcs)
+    for block, outside in _handles(d):
+        for k, after in enumerate(outside[:-1]):
+            yield HandleMove(block, after), _reinserted(block, outside, k, arcs)
 
 
 def find_certificate(d1: ChordDiagram, d2: ChordDiagram, max_depth: int = 4) -> list[Move] | None:

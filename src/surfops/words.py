@@ -3,7 +3,10 @@
 A cyclic word is a finite sequence of pairwise distinct labels considered up
 to rotation.  Words are stored in their canonical rotation (the
 lexicographically smallest one), so equality and hashing are plain value
-comparisons on the stored tuple.
+comparisons on the stored tuple.  Because the items are distinct, that
+rotation is the one starting at the least item, which ``_least_first`` finds
+with one ``min`` and one ``index``; the general ``min_rotation`` compares
+whole rotations and serves sequences with repeats.
 
 Checks run once, in the public constructors; the parsers read syntax and then
 call them.  A constructor checks, then calls its build step ``_build``, which
@@ -78,10 +81,29 @@ def _check_items(items: Iterable[str], repeated: str) -> None:
 
 
 def min_rotation(items: tuple[str, ...]) -> tuple[str, ...]:
-    """The lexicographically smallest rotation of ``items``."""
+    """The lexicographically smallest rotation of ``items``, repeats allowed.
+
+    On pairwise distinct items it equals ``_least_first(items)``.  With a
+    repeated least item several rotations start alike, and only comparing
+    them whole picks the smallest, so this compares every rotation.
+    """
     if len(items) < 2:
         return items
     return min(items[i:] + items[:i] for i in range(len(items)))
+
+
+def _least_first(items: tuple[str, ...]) -> tuple[str, ...]:
+    """The rotation of pairwise distinct ``items`` that starts at the least item.
+
+    Distinct items start distinct rotations, so the first item alone orders
+    them and this is ``min_rotation(items)``.  With a repeated least item it
+    may start at the wrong copy: ``(b, a, c, a)`` gives ``(a, c, a, b)``,
+    not the least ``(a, b, a, c)``.
+    """
+    if len(items) < 2:
+        return items
+    i = items.index(min(items))
+    return items[i:] + items[:i]
 
 
 class _Value:
@@ -168,7 +190,8 @@ class CyclicWord(_Value):
         self._build(seq)
 
     def _build(self, items: tuple[str, ...]) -> None:
-        object.__setattr__(self, "items", min_rotation(items))
+        """Store the canonical rotation; ``items`` must be pairwise distinct, as every word's are."""
+        object.__setattr__(self, "items", _least_first(items))
 
     @property
     def labels(self) -> frozenset[str]:

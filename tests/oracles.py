@@ -78,3 +78,61 @@ def double_factorial_odd(n: int) -> int:
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
+
+
+def successor_bases(base: list[str], arcs: list[tuple[str, str]]) -> list[list[str]]:
+    """Every single-move successor base, one per move, read off the move definitions.
+
+    rotate: for an arc {x, y} the base reads x S1 y S2; each side turns by
+    any amount, not both by none.  boundary: the segment from one end of an
+    arc to the other, either way round, goes after an item outside it.
+    handle: four consecutive tokens a b c d with arcs {a, c} and {b, d} go
+    after an item outside them.  Putting a piece back after the item just
+    before it gives the base again, so that position is no move.
+    """
+    n = len(base)
+    where = {item: i for i, item in enumerate(base)}
+    partner = {}
+    for x, y in arcs:
+        partner[x] = y
+        partner[y] = x
+
+    def run(start, length):
+        return [base[(start + t) % n] for t in range(length)]
+
+    def turned(side, k):
+        return [side[(t + k) % len(side)] for t in range(len(side))]
+
+    def moved(piece, start):
+        before = base[(start - 1) % n]
+        rest = run(start + len(piece), n - len(piece))
+        out = []
+        for after in rest:
+            if after == before:
+                continue
+            new = []
+            for item in rest:
+                new.append(item)
+                if item == after:
+                    new.extend(piece)
+            out.append(new)
+        return out
+
+    successors = []
+    for x, y in arcs:
+        gap = (where[y] - where[x]) % n
+        side1, side2 = run(where[x] + 1, gap - 1), run(where[y] + 1, n - gap - 1)
+        for k1 in range(max(1, len(side1))):
+            for k2 in range(max(1, len(side2))):
+                if k1 or k2:
+                    successors.append([x] + turned(side1, k1) + [y] + turned(side2, k2))
+    for x, y in arcs:
+        for first, last in ((x, y), (y, x)):
+            length = (where[last] - where[first]) % n + 1
+            successors += moved(run(where[first], length), where[first])
+    if n >= 4:
+        for i in range(n):
+            a, b, c, d = run(i, 4)
+            if partner.get(a) == c and partner.get(b) == d:
+                successors += moved([a, b, c, d], i)
+    return successors

@@ -145,6 +145,9 @@ def test_check_axioms_default_marks_vacuous_families(capsys):
     ["check-envelope", "--budget", "-1"],
     ["equal", "--certificate", "--depth", "-3", "[ a ; ]", "[ a ; ]"],
     ["hz-table", "--chords", "-1"],
+    ["hz-table", "--chords", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+    ["hz-table", "--chords", "1_0"],
+    ["hz-table", "--chords", " 2"],
 ])
 def test_negative_numeric_options_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,13 +1,16 @@
 """Rewriting moves: soundness on examples, search for certificates."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from oracles import successor_bases
 from surfops.census import random_diagram
 from surfops.diagram import ChordDiagram, evaluate
 from surfops.surface import Surface
 from surfops.rewrite import (
+    HandleMove,
     apply_move,
     apply_moves,
     equivalent,
@@ -94,6 +97,24 @@ def test_moves_sound_on_random_diagrams():
         for move, successor in neighbors(d):
             assert successor == apply_move(d, move)
             assert evaluate(successor) == value, f"{move} broke {d}"
+
+
+def _up_to_rotation(items):
+    return min(tuple(items[k:]) + tuple(items[:k]) for k in range(max(1, len(items))))
+
+
+def test_neighbors_match_the_successor_oracle():
+    rng = random.Random(20261019)
+    with_handle_moves = 0
+    for i in range(300):
+        d = random_diagram(rng, max_labels=6, max_arcs=6, ensure_handle=i % 2 == 0)
+        successors = list(neighbors(d))
+        assert all(s.arcs == d.arcs for _, s in successors)
+        got = Counter(_up_to_rotation(s.base) for _, s in successors)
+        want = Counter(map(_up_to_rotation, successor_bases(list(d.base), list(d.arcs))))
+        assert got == want, d
+        with_handle_moves += any(isinstance(move, HandleMove) for move, _ in successors)
+    assert with_handle_moves > 100
 
 
 def test_certificate_identical():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from surfops.diagram import ChordDiagram
 from surfops.lexer import ParseError
-from surfops.words import CyclicWord, Renaming, glue, is_glue, min_rotation
+from surfops.words import CyclicWord, Renaming, _least_first, glue, is_glue, min_rotation
 
 labels = st.text(alphabet="abcxyz123", min_size=1, max_size=3)
 label_lists = st.lists(labels, unique=True, max_size=6)
@@ -23,6 +24,18 @@ def test_min_rotation_is_rotation_invariant(items):
     for k in range(max(1, len(tup))):
         rotated = tup[k:] + tup[:k]
         assert min_rotation(rotated) == min_rotation(tup)
+
+
+@given(st.lists(st.one_of(labels, st.integers(1, 30).map(glue)), unique=True, max_size=8))
+def test_least_first_is_min_rotation_on_distinct_items(items):
+    tup = tuple(items)
+    least = min_rotation(tup)
+    assert _least_first(tup) == least
+    for k in range(max(1, len(tup))):
+        rotated = tup[k:] + tup[:k]
+        assert _least_first(rotated) == least
+        assert CyclicWord._of(rotated).items == least
+        assert ChordDiagram._of(rotated, ()).base == least
 
 
 def test_word_equality_up_to_rotation():
