@@ -74,8 +74,8 @@ def _parse_renaming(text: str) -> Renaming:
 def _nonnegative(text: str) -> int:
     """argparse type for counts, sizes and depths: a nonnegative integer in ASCII digits only.
 
-    ``int`` alone would also take other scripts' digits, underscores and
-    surrounding whitespace, as ``Surface.parse`` refuses to for a genus.
+    ``int`` alone would also take a sign, surrounding whitespace, underscores
+    and other scripts' digits; the genus in ``Surface.parse`` has the same rule.
     """
     try:
         value = int(text) if text.isascii() and text.isdigit() else -1
