@@ -5,19 +5,22 @@ with 2g+b-1 arcs in a fixed layout: the cycles laid side by side, consecutive
 cycles separated by one arc, followed by g blocks of four consecutive tokens
 whose arcs interleave (the handle pattern).  ``canonical_diagram`` builds the
 presentation for the default cycle order and rotations; ``all_canonical_diagrams``
-enumerates the presentations over every cycle order and every rotation.
+enumerates the presentations over every cycle order and every rotation, up
+to a limit of 100 000 presentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import perm, prod
 
 from .diagram import Arc, ChordDiagram
 from .surface import Surface
 from .words import glue
 
 Handle = tuple[str, str, str, str]
+_MAX_PRESENTATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -77,13 +80,23 @@ def canonical_diagram(q: Surface) -> CanonicalExpression:
 def all_canonical_diagrams(q: Surface) -> list[CanonicalExpression]:
     """Presentations for every cycle order and every cycle rotation.
 
-    Coinciding choices (e.g. permutations of identical empty cycles) collapse;
-    the result is ordered by the placed cycle tuples.
+    Identical empty cycles fill the slots the nonempty ones leave, so each
+    presentation is built once; the result is ordered by the placed cycle
+    tuples.  A surface with more than 100 000 presentations is a precondition
+    error that names the count.
     """
-    orders: set[tuple[tuple[str, ...], ...]] = set()
-    for perm in permutations(q.cycles):
-        for rots in product(*(tuple(w.rotations()) for w in perm)):
-            orders.add(tuple(rots))
+    b, nonempty = len(q.cycles), [w for w in q.cycles if w.items]
+    count = perm(b, len(nonempty)) * prod(len(w.items) for w in nonempty)  # b!/e! orders of b cycles, e empty
+    if count > _MAX_PRESENTATIONS:
+        raise ValueError(f"the surface has {count} canonical presentations; "
+                         f"enumerating them is limited to {_MAX_PRESENTATIONS}")
+    orders = []
+    for slots in permutations(range(b), len(nonempty)):
+        for rots in product(*(tuple(w.rotations()) for w in nonempty)):
+            order = [()] * b
+            for slot, rot in zip(slots, rots):
+                order[slot] = rot
+            orders.append(tuple(order))
     return [_build(q.genus, order) for order in sorted(orders)]
 
 

@@ -9,9 +9,9 @@ depend on the order in which the arcs are glued.
 band per arc, a one-vertex ribbon graph, and its boundary cycles are the
 orbits of the face permutation "step to the next item; on a glue token, jump
 to the item after its partner".  The genus then follows from the Euler
-characteristic.  ``evaluate(d, order=...)`` folds ``self_glue`` over the arcs
-in the given order instead, and serves as the reference the tracer is tested
-against.
+characteristic.  ``_fold`` is the one arc fold: include the base word, then
+contract each arc in turn.  ``evaluate(d, order=...)`` folds ``self_glue``,
+the tracer's reference, and the law harness folds a target's ``contract``.
 
 ``ChordDiagram(...)`` checks base and arcs, and ``parse`` goes through it.
 Diagrams derived from valid ones (moves, layouts, matchings) skip the check.
@@ -20,13 +20,15 @@ Diagrams derived from valid ones (moves, layouts, matchings) skip the check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
+from .assoc import to_surface
 from .lexer import TokenStream, _ItemError
 from .surface import Surface, _require_kept, self_glue
 from .words import CyclicWord, _check_items, _items, _least_first, _Value, is_glue
 
 Arc = tuple[str, str]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, init=False)
@@ -44,7 +46,7 @@ class ChordDiagram(_Value):
         oriented: list[Arc] = []
         for n, (x, y) in enumerate(map(_items, arcs)):
             for at, t in enumerate((x, y), len(items) + 2 * n):
-                if t not in rank:
+                if not isinstance(t, str) or t not in rank:
                     glue_like = isinstance(t, str) and t.startswith("#")
                     raise _ItemError(f"arc token {t} does not occur in the base" if glue_like
                                      else f"arcs join glue tokens, got ({x!r} {y!r})", at)
@@ -127,14 +129,21 @@ def evaluate(d: ChordDiagram, order: Sequence[Arc] | None = None) -> Surface:
     """
     if order is None:
         return _trace_faces(d)
-    arcs = tuple(order)
-    if sorted(map(sorted, arcs)) != sorted(map(sorted, d.arcs)):
-        raise ValueError("order must list exactly the diagram arcs")
-    out = Surface._of((CyclicWord._of(d.base),), 0)
-    for x, y in arcs:
-        out = self_glue(out, x, y)
+    out = _fold(d, to_surface, self_glue, order)
     _require_kept("the fold", out, len(d.arcs), len(d.base) - 2 * len(d.arcs))
     return out
+
+
+def _fold(d: ChordDiagram, include: Callable[[CyclicWord], _T], contract: Callable[[_T, str, str], _T],
+          order: Sequence[Arc] | None = None) -> _T:
+    """``include`` of the base word, contracted along each arc in ``order`` (default: the stored one)."""
+    arcs = d.arcs if order is None else tuple(order)
+    if order is not None and sorted(map(sorted, arcs)) != sorted(map(sorted, d.arcs)):
+        raise ValueError("order must list exactly the diagram arcs")
+    value = include(CyclicWord._of(d.base))
+    for x, y in arcs:
+        value = contract(value, x, y)
+    return value
 
 
 def _trace_faces(d: ChordDiagram) -> Surface:
@@ -177,7 +186,8 @@ def render_dot(d: ChordDiagram) -> str:
     index = {item: i for i, item in enumerate(d.base)}
     for i, item in enumerate(d.base):
         shape = "point" if is_glue(item) else "circle"
-        lines.append(f'  n{i} [label="{item}", shape={shape}];')
+        label = item.replace("\\", "\\\\").replace('"', '\\"')  # DOT escapes inside a quoted string
+        lines.append(f'  n{i} [label="{label}", shape={shape}];')
     k = len(d.base)
     if k == 2:
         lines.append("  n0 -- n1;")

@@ -3,7 +3,8 @@
 A target is anything that supports renaming, end-to-end composition, and
 same-element contraction with the usual label and grade bookkeeping.  The
 checkers run named instance families against a target and report per-family
-counts with the first counterexample kept verbatim.
+counts with the first counterexample kept verbatim.  ``evaluate_expression``
+extends an inclusion of words to any diagram with ``diagram``'s one arc fold.
 
 Each law is written once, as its parameter names and a function giving both
 sides.  Each axiom family has one instance generator, written as nested loops
@@ -23,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import census
 from .assoc import splice, to_surface
 from .canonical import all_canonical_diagrams, canonical_diagram
+from .diagram import ChordDiagram, _fold
 from .surface import Surface, compose, self_glue
 from .words import CyclicWord, Renaming
 
@@ -51,9 +53,6 @@ class Target(ABC):
     @abstractmethod
     def grade_of(self, x) -> int:
         ...
-
-    def describe(self, x) -> str:
-        return str(x)
 
 
 class SurfaceTarget(Target):
@@ -122,25 +121,21 @@ class TerminalTarget(Target):
         return x.grade
 
 
-def surface_inclusion(word: CyclicWord) -> Surface:
-    return to_surface(word)
+surface_inclusion = to_surface
 
 
 def terminal_inclusion(word: CyclicWord) -> TerminalElement:
     return TerminalElement(frozenset(word.labels), 0)
 
 
-def evaluate_expression(target: Target, include: Callable[[CyclicWord], object], expr) -> object:
-    """Fold an expression's arcs, in stored order, over the included base word."""
-    value = include(CyclicWord._of(expr.diagram.base))
-    for a, b in expr.diagram.arcs:
-        value = target.contract(value, a, b)
-    return value
+def evaluate_expression(target: Target, include: Callable[[CyclicWord], object], d: ChordDiagram) -> object:
+    """Contract the included base word of ``d`` along its arcs, in stored order."""
+    return _fold(d, include, target.contract)
 
 
 def induce(target: Target, include: Callable[[CyclicWord], object], q: Surface) -> object:
     """Value of ``q`` under the extension of ``include`` along contractions."""
-    return evaluate_expression(target, include, canonical_diagram(q))
+    return evaluate_expression(target, include, canonical_diagram(q).diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +244,17 @@ class _Law(NamedTuple):
 class _Session:
     """Runs instances against a target with bookkeeping postconditions.
 
-    Counterexample inputs named in ``described`` are shown through the
-    target's ``describe``, the others through ``str``; they are rendered only
-    for the first failure of a family.
+    Counterexample inputs and sides are rendered with ``str``, and only for
+    the first failure of a family.
     """
 
-    def __init__(self, target: Target, report: LawReport, described: frozenset[str] = frozenset()):
+    def __init__(self, target: Target, report: LawReport):
         self.t = target
         self.report = report
-        self.described = described
 
     def _kept(self, op: str, out, labels: frozenset[str], grade: int):
         if self.t.labels_of(out) != labels or self.t.grade_of(out) != grade:
-            raise _LawViolation(f"bookkeeping broke under {op}: got {self.t.describe(out)}")
+            raise _LawViolation(f"bookkeeping broke under {op}: got {out}")
         return out
 
     def rename(self, x, renaming: Renaming):
@@ -289,7 +282,7 @@ class _Session:
                 lhs, rhs = law.sides(self, *args)
                 if lhs == rhs:
                     continue
-                shown = (self.t.describe(lhs), self.t.describe(rhs))
+                shown = (str(lhs), str(rhs))
             except _LawViolation as exc:
                 shown = (str(exc), "(postcondition)")
             except ValueError as exc:
@@ -297,10 +290,7 @@ class _Session:
                 shown = (f"operation rejected: {exc}", "(precondition)")
             fam.failures += 1
             if fam.counterexample is None:
-                inputs = tuple(
-                    (name, str(self.t.describe(v) if name in self.described else v))
-                    for name, v in zip(law.params.split(), args)
-                )
+                inputs = tuple((name, str(v)) for name, v in zip(law.params.split(), args))
                 fam.counterexample = Counterexample(family, inputs, *shown)
 
 
@@ -523,7 +513,6 @@ def _compose_associativity(ch, law):
 
 
 AXIOM_FAMILIES = tuple(_AXIOMS)
-_ELEMENTS = frozenset("xyz")  # the parameters that hold target elements
 
 
 def check_axioms(target: Target, elements: Iterable, budget: int | None = None) -> LawReport:
@@ -533,7 +522,7 @@ def check_axioms(target: Target, elements: Iterable, budget: int | None = None) 
     partner elements are enumerated exhaustively; ``budget`` caps the
     instance count per family when set.
     """
-    s = _Session(target, LawReport(f"axiom check against target '{target.name}'"), _ELEMENTS)
+    s = _Session(target, LawReport(f"axiom check against target '{target.name}'"))
     choices = _AllChoices(target, list(elements))
     for family, generate in _AXIOMS.items():
         s.run(family, generate(choices), budget)
@@ -581,7 +570,7 @@ def check_axioms_random(
     if report is None:
         report = LawReport(f"randomized axiom check against target '{target.name}'",
                            {name: FamilyResult() for name in AXIOM_FAMILIES})
-    s = _Session(target, report, _ELEMENTS)
+    s = _Session(target, report)
     choices = _RandomChoices(target, sampler, rng)
     for i in range(count):
         family = AXIOM_FAMILIES[i % len(AXIOM_FAMILIES)]
@@ -694,13 +683,13 @@ def check_well_definedness(target: Target, include: Callable[[CyclicWord], objec
     exprs = all_canonical_diagrams(q)
     seen: list = []
     for expr in exprs:
-        value = evaluate_expression(target, include, expr)
+        value = evaluate_expression(target, include, expr.diagram)
         if value not in seen:
             seen.append(value)
     return AgreementReport(
         subject=str(q),
         expressions=len(exprs),
-        values=tuple(target.describe(v) for v in seen),
+        values=tuple(map(str, seen)),
         value=seen[0] if len(seen) == 1 else None,
     )
 

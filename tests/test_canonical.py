@@ -1,11 +1,17 @@
 """Canonical presentations: template layout, counts, round trips."""
 
+import random
+import time
 from itertools import combinations
+from math import factorial, prod
+
+import pytest
 
 from surfops.canonical import all_canonical_diagrams, canonical_diagram
-from surfops.census import enumerate_surfaces
+from surfops.census import enumerate_surfaces, label_subsets, random_surface
 from surfops.diagram import ChordDiagram, evaluate
 from surfops.surface import Surface
+from surfops.words import CyclicWord
 
 
 def test_template_trivial_cases():
@@ -49,6 +55,31 @@ def test_all_expressions_counts():
     assert len(all_canonical_diagrams(Surface.parse("{ ( 1 2 ) }^0"))) == 2
     assert len(all_canonical_diagrams(Surface.parse("{ ( A ) ( B ) }^0"))) == 2
     assert len(all_canonical_diagrams(Surface.parse("{ ( ) }^1"))) == 1
+
+
+def test_presentation_count_is_the_enumerated_count():
+    pool = [q for sub in label_subsets(4) for q in enumerate_surfaces(sub, 2)]
+    rng = random.Random(14)
+    pool += [random_surface(rng, ["a", "b", "c", "d"][:rng.randint(0, 4)], 1, 3) for _ in range(60)]
+    pool += [Surface.parse("{ ( ) ( ) ( ) }^1"), Surface.parse("{ ( ) ( ) ( a b ) ( c ) }^0")]
+    assert sum(q.cycles.count(CyclicWord(())) > 1 for q in pool) > 10
+    for q in pool:
+        # b!/e! cycle orders, the e empty cycles being alike, times each nonempty cycle's rotations
+        empty = q.cycles.count(CyclicWord(()))
+        rotations = prod(len(w.items) for w in q.cycles if w.items)
+        assert factorial(len(q.cycles)) // factorial(empty) * rotations == len(all_canonical_diagrams(q))
+
+
+def test_presentations_are_limited():
+    # eight 3-label cycles: 8! * 3^8 presentations
+    q = Surface.parse("{ ( a b c ) ( d e f ) ( g h i ) ( j k l ) ( m n o ) ( p q r ) ( s t u ) ( v w x ) }^0")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the surface has 264539520 canonical presentations; "
+                                         "enumerating them is limited to 100000"):
+        all_canonical_diagrams(q)
+    # twelve empty cycles beside ( a b ): 13 * 2 presentations, without walking 13! permutations
+    assert len(all_canonical_diagrams(Surface.parse("{ " + "( ) " * 12 + "( a b ) }^0"))) == 26
+    assert time.perf_counter() - start < 1
 
 
 def test_all_expressions_round_trip():

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -53,6 +54,16 @@ def test_canon_all(capsys):
     code, out, _ = run(capsys, "canon", "{ ( 1 2 ) }^0", "--all")
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+def test_canon_all_is_limited(capsys):
+    operand = "{ ( a b c ) ( d e f ) ( g h i ) ( j k l ) ( m n o ) ( p q r ) ( s t u ) ( v w x ) }^0"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "canon", "--all", operand)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the surface has 264539520 canonical presentations; "
+                   "enumerating them is limited to 100000\n")
 
 
 def test_canon_json(capsys):

@@ -168,6 +168,13 @@ def test_render_dot_structure():
     assert "a" in text and "b" in text
 
 
+def test_render_dot_escapes_quotes_and_backslashes():
+    text = render_dot(ChordDiagram.parse('[ a"b #1 c\\d #2 e ; (#1 #2) ]'))
+    assert 'n1 [label="c\\\\d", shape=circle];' in text
+    assert 'n3 [label="e", shape=circle];' in text
+    assert 'n4 [label="a\\"b", shape=circle];' in text
+
+
 def test_render_dot_degenerate():
     assert "graph" in render_dot(ChordDiagram((), ()))
     assert render_dot(ChordDiagram(("x",), ()))
@@ -193,6 +200,7 @@ def test_constructor_errors_take_the_parser_wording():
         ((("#1", "#2"), [("#1", "#1")]), "token #1 occurs in more than one arc"),
         ((("#1", "#2", "#3"), [("#1", "#2")]), "token #3 is never matched by an arc"),
         ((("a", "#1"), [("a", "#1")]), "arcs join glue tokens, got \\('a' '#1'\\)"),
+        ((("#1", "#2"), [(["#1"], "#2")]), "arcs join glue tokens, got \\(\\['#1'\\] '#2'\\)"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from surfops.census import enumerate_cyclic_words, enumerate_surfaces, label_subsets
+from surfops.census import enumerate_cyclic_words, enumerate_surfaces, label_subsets, random_diagram
+from surfops.diagram import evaluate
 from surfops.laws import (
     SurfaceTarget,
     TerminalElement,
@@ -15,6 +16,7 @@ from surfops.laws import (
     check_modular_morphism,
     check_universal_property,
     check_well_definedness,
+    evaluate_expression,
     induce,
     surface_inclusion,
     surface_sampler,
@@ -101,6 +103,15 @@ def test_induce_terminal_hits_signature():
     target = TerminalTarget()
     for q in small_family():
         assert induce(target, terminal_inclusion, q) == TerminalElement(q.labels, q.grade)
+
+
+def test_evaluate_expression_on_plain_diagrams():
+    rng = random.Random(1414)
+    for i in range(200):
+        d = random_diagram(rng, ensure_handle=i % 2 == 1)
+        q = evaluate(d)
+        assert evaluate_expression(SurfaceTarget(), surface_inclusion, d) == q
+        assert evaluate_expression(TerminalTarget(), terminal_inclusion, d) == TerminalElement(q.labels, q.grade)
 
 
 def test_induce_no_contractions_at_grade_zero():
