@@ -6,7 +6,7 @@ cycles separated by one arc, followed by g blocks of four consecutive tokens
 whose arcs interleave (the handle pattern).  ``canonical_diagram`` builds the
 presentation for the default cycle order and rotations; ``all_canonical_diagrams``
 enumerates the presentations over every cycle order and every rotation, up
-to a limit of 100 000 presentations.
+to a limit of 100 000 presentations.  Both refuse a glue token as a label.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import perm, prod
 
 from .diagram import Arc, ChordDiagram
 from .surface import Surface
-from .words import glue
+from .words import glue, is_glue
 
 Handle = tuple[str, str, str, str]
 _MAX_PRESENTATIONS = 100_000
@@ -72,8 +72,15 @@ def _build(genus: int, order: tuple[tuple[str, ...], ...]) -> CanonicalExpressio
     )
 
 
+def _require_glue_free(q: Surface) -> None:
+    glued = sorted(filter(is_glue, q.labels))
+    if glued:
+        raise ValueError(f"label {glued[0]!r} is a glue token; a canonical presentation keeps those for its arcs")
+
+
 def canonical_diagram(q: Surface) -> CanonicalExpression:
     """The presentation for the canonical cycle order and rotations."""
+    _require_glue_free(q)
     return _build(q.genus, tuple(w.items for w in q.cycles))
 
 
@@ -85,6 +92,7 @@ def all_canonical_diagrams(q: Surface) -> list[CanonicalExpression]:
     tuples.  A surface with more than 100 000 presentations is a precondition
     error that names the count.
     """
+    _require_glue_free(q)
     b, nonempty = len(q.cycles), [w for w in q.cycles if w.items]
     count = perm(b, len(nonempty)) * prod(len(w.items) for w in nonempty)  # b!/e! orders of b cycles, e empty
     if count > _MAX_PRESENTATIONS:

@@ -199,16 +199,18 @@ def random_surface(
     return Surface(cycles, rng.randint(0, max_g))
 
 
+_LABEL_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+
 def random_diagram(
     rng: random.Random,
     max_labels: int = 6,
     max_arcs: int = 6,
     ensure_handle: bool = False,
-    label_pool: Sequence[str] = ("a", "b", "c", "d", "e", "f", "g", "h"),
 ) -> ChordDiagram:
-    """A random diagram; with ``ensure_handle`` it contains a handle block."""
+    """A random diagram on labels from ``a`` to ``h``; with ``ensure_handle`` it contains a handle block."""
     n_labels = rng.randint(0, max_labels)
-    labels = rng.sample(list(label_pool), n_labels)
+    labels = rng.sample(_LABEL_POOL, n_labels)
     lo = 2 if ensure_handle else 1
     n_arcs = rng.randint(lo, max(lo, max_arcs))
     tokens = [glue(k) for k in range(1, 2 * n_arcs + 1)]

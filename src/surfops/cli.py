@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from typing import Sequence
 
@@ -27,10 +28,10 @@ from .laws import (
     surface_sampler,
     terminal_sampler,
 )
-from .lexer import ParseError
+from .lexer import ParseError, nonnegative_int
 from .rewrite import equivalent, find_certificate
 from .surface import Surface, compose, self_glue
-from .words import Renaming
+from .words import Renaming, check_label
 
 
 class _UsageError(Exception):
@@ -63,25 +64,24 @@ def _parse_diagram(text: str) -> ChordDiagram:
 
 
 def _parse_renaming(text: str) -> Renaming:
-    words = text.replace(",", " ").split()
-    if len(words) % 2 != 0:
+    names = list(re.finditer(r"[^\s,]+", text))
+    if len(names) % 2 != 0:
         raise ParseError("renaming needs an even list: old new, old new, ...")
-    if not words:
+    if not names:
         raise ParseError("renaming must not be empty")
+    for m in names:
+        try:
+            check_label(m.group())
+        except ValueError as exc:
+            raise ParseError(str(exc), text, m.start()) from None
+    words = [m.group() for m in names]
     return Renaming(zip(words[0::2], words[1::2]))
 
 
 def _nonnegative(text: str) -> int:
-    """argparse type for counts, sizes and depths: a nonnegative integer in ASCII digits only.
-
-    ``int`` alone would also take a sign, surrounding whitespace, underscores
-    and other scripts' digits; the genus in ``Surface.parse`` has the same rule.
-    """
-    try:
-        value = int(text) if text.isascii() and text.isdigit() else -1
-    except ValueError:  # more digits than int() converts
-        value = -1
-    if value < 0:
+    """argparse type for counts, sizes and depths: a nonnegative integer in ASCII digits only."""
+    value = nonnegative_int(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
 

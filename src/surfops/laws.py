@@ -1,15 +1,18 @@
 """Law checking: value targets, induced maps, and axiom/morphism verdicts.
 
-A target is anything that supports renaming, end-to-end composition, and
-same-element contraction with the usual label and grade bookkeeping.  The
-checkers run named instance families against a target and report per-family
-counts with the first counterexample kept verbatim.  ``evaluate_expression``
-extends an inclusion of words to any diagram with ``diagram``'s one arc fold.
+A target writes three operations (renaming, end-to-end composition, and
+same-element contraction) with the usual label and grade bookkeeping, and may
+override how a value's labels and grade are read.  The checkers run named
+instance families against a target and report per-family counts with the
+first counterexample kept verbatim.  ``evaluate_expression`` extends an
+inclusion of words to any diagram with ``diagram``'s one arc fold.
 
 Each law is written once, as its parameter names and a function giving both
 sides.  Each axiom family has one instance generator, written as nested loops
 over choice points (element tuples, label picks, renamings): the exhaustive
 driver offers every option over a fixed pool, the random driver draws one.
+The morphism checkers draw their instances from the same choice points, and
+every law compares values themselves, never their text.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, islice, permutations, product
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from . import census
@@ -30,7 +34,11 @@ from .words import CyclicWord, Renaming
 
 
 class Target(ABC):
-    """Operations a value domain must provide to receive induced maps."""
+    """Operations a value domain must provide to receive induced maps.
+
+    A target writes ``rename``, ``compose`` and ``contract``; ``labels_of`` and
+    ``grade_of`` read ``x.labels`` and ``x.grade`` unless a target overrides them.
+    """
 
     name: str = "target"
 
@@ -46,13 +54,11 @@ class Target(ABC):
     def contract(self, x, a: str, b: str):
         ...
 
-    @abstractmethod
     def labels_of(self, x) -> frozenset[str]:
-        ...
+        return x.labels
 
-    @abstractmethod
     def grade_of(self, x) -> int:
-        ...
+        return x.grade
 
 
 class SurfaceTarget(Target):
@@ -68,12 +74,6 @@ class SurfaceTarget(Target):
 
     def contract(self, x: Surface, a: str, b: str) -> Surface:
         return self_glue(x, a, b)
-
-    def labels_of(self, x: Surface) -> frozenset[str]:
-        return x.labels
-
-    def grade_of(self, x: Surface) -> int:
-        return x.grade
 
 
 class TerminalElement(NamedTuple):
@@ -113,12 +113,6 @@ class TerminalTarget(Target):
         if a not in x.labels or b not in x.labels:
             raise ValueError("contraction points must be marked on the element")
         return TerminalElement(x.labels - {a, b}, x.grade + 1)
-
-    def labels_of(self, x: TerminalElement) -> frozenset[str]:
-        return x.labels
-
-    def grade_of(self, x: TerminalElement) -> int:
-        return x.grade
 
 
 surface_inclusion = to_surface
@@ -322,12 +316,12 @@ def _random_renaming(rng: random.Random, labels: frozenset[str], avoid: frozense
 class _AllChoices:
     """Every option at each choice point, over a fixed pool of elements."""
 
-    def __init__(self, target: Target, elements: list):
-        self.labels_of = target.labels_of
+    def __init__(self, labels_of: Callable[[object], frozenset[str]], elements: list):
+        self.labels_of = labels_of
         self.pool = elements
         self.groups: dict[frozenset[str], list] = {}
         for x in elements:
-            self.groups.setdefault(target.labels_of(x), []).append(x)
+            self.groups.setdefault(labels_of(x), []).append(x)
         self.sets = sorted(self.groups, key=lambda ls: (len(ls), sorted(ls)))
         self.all_labels = frozenset().union(*self.groups)
 
@@ -372,8 +366,8 @@ class _RandomChoices:
     onto fresh names with even odds, whatever restricts the exhaustive options.
     """
 
-    def __init__(self, target: Target, sampler, rng: random.Random):
-        self.labels_of = target.labels_of
+    def __init__(self, labels_of: Callable[[object], frozenset[str]], sampler, rng: random.Random):
+        self.labels_of = labels_of
         self.sampler = sampler
         self.rng = rng
 
@@ -523,7 +517,7 @@ def check_axioms(target: Target, elements: Iterable, budget: int | None = None) 
     instance count per family when set.
     """
     s = _Session(target, LawReport(f"axiom check against target '{target.name}'"))
-    choices = _AllChoices(target, list(elements))
+    choices = _AllChoices(target.labels_of, list(elements))
     for family, generate in _AXIOMS.items():
         s.run(family, generate(choices), budget)
     return s.report
@@ -533,26 +527,24 @@ def check_axioms(target: Target, elements: Iterable, budget: int | None = None) 
 # randomized axiom driver
 
 
-def surface_sampler(max_labels: int = 6, max_g: int = 3, max_extra_empty: int = 2):
-    """Sampler of random surfaces for the randomized axiom driver."""
+def _sampler(max_labels: int, make: Callable[[random.Random, list[str]], object]):
+    """``sample(rng, avoid, min_labels)``: ``make`` on fresh labels avoiding ``avoid``."""
 
-    def sample(rng: random.Random, avoid: frozenset[str], min_labels: int = 0) -> Surface:
+    def sample(rng: random.Random, avoid: frozenset[str], min_labels: int = 0):
         n = rng.randint(min_labels, max(min_labels, max_labels))
-        labels = _fresh_names(n, avoid, rng.choice("mnpq"))
-        return census.random_surface(rng, labels, max_g, max_extra_empty)
+        return make(rng, _fresh_names(n, avoid, rng.choice("mnpq")))
 
     return sample
+
+
+def surface_sampler(max_labels: int = 6, max_g: int = 3, max_extra_empty: int = 2):
+    """Sampler of random surfaces for the randomized axiom driver."""
+    return _sampler(max_labels, lambda rng, labels: census.random_surface(rng, labels, max_g, max_extra_empty))
 
 
 def terminal_sampler(max_labels: int = 6, max_grade: int = 6):
     """Sampler of terminal-target elements for the randomized axiom driver."""
-
-    def sample(rng: random.Random, avoid: frozenset[str], min_labels: int = 0) -> TerminalElement:
-        n = rng.randint(min_labels, max(min_labels, max_labels))
-        labels = _fresh_names(n, avoid, rng.choice("mnpq"))
-        return TerminalElement(frozenset(labels), rng.randint(0, max_grade))
-
-    return sample
+    return _sampler(max_labels, lambda rng, labels: TerminalElement(frozenset(labels), rng.randint(0, max_grade)))
 
 
 def check_axioms_random(
@@ -571,7 +563,7 @@ def check_axioms_random(
         report = LawReport(f"randomized axiom check against target '{target.name}'",
                            {name: FamilyResult() for name in AXIOM_FAMILIES})
     s = _Session(target, report)
-    choices = _RandomChoices(target, sampler, rng)
+    choices = _RandomChoices(target.labels_of, sampler, rng)
     for i in range(count):
         family = AXIOM_FAMILIES[i % len(AXIOM_FAMILIES)]
         s.run(family, _AXIOMS[family](choices))
@@ -582,6 +574,14 @@ def check_axioms_random(
 # morphism checkers
 
 
+def _renamed(ch, law):
+    """Each element under each renaming of its labels, onto permuted and onto fresh names."""
+    for (x,) in ch.elements(0):
+        lx = ch.labels_of(x)
+        for rho in ch.renamings(lx, lx, "u"):
+            yield law, (x, rho)
+
+
 def check_cyclic_morphism(
     target: Target,
     include: Callable[[CyclicWord], object],
@@ -589,24 +589,17 @@ def check_cyclic_morphism(
     budget: int | None = None,
 ) -> LawReport:
     """Verify that ``include`` carries cyclic words into the target lawfully."""
-    ws = list(words)
-    all_labels = frozenset().union(*(w.labels for w in ws))
+    ch = _AllChoices(attrgetter("labels"), list(words))
     component = _Law("w", lambda s, w: (
-        (target.labels_of(include(w)), target.grade_of(include(w))), (frozenset(w.labels), 0)))
+        (target.labels_of(include(w)), target.grade_of(include(w))), (w.labels, 0)))
     spliced = _Law("x a y b", lambda s, x, a, y, b: (
         include(splice(x, a, y, b)), s.compose(include(x), a, include(y), b)))
     renamed = _Law("w rho", lambda s, w, rho: (include(w.rename(rho)), s.rename(include(w), rho)))
 
     s = _Session(target, LawReport(f"cyclic-side morphism check into target '{target.name}'"))
-    s.run("component_preservation", ((component, (w,)) for w in ws), budget)
-    s.run("splice_compatibility", (
-        (spliced, (x, a, y, b))
-        for x in ws for y in ws if x.labels and y.labels and not x.labels & y.labels
-        for a in sorted(x.labels) for b in sorted(y.labels)
-    ), budget)
-    s.run("rename_equivariance", (
-        (renamed, (w, rho)) for w in ws for rho in _renamings_for(frozenset(w.labels), all_labels, "u")
-    ), budget)
+    s.run("component_preservation", ((component, xs) for xs in ch.elements(0)), budget)
+    s.run("splice_compatibility", _compose_symmetry(ch, spliced), budget)
+    s.run("rename_equivariance", _renamed(ch, renamed), budget)
     return s.report
 
 
@@ -617,8 +610,7 @@ def check_modular_morphism(
     budget: int | None = None,
 ) -> LawReport:
     """Verify the induced surface-level map respects every operation."""
-    qs = list(surfaces)
-    all_labels = frozenset().union(*(q.labels for q in qs))
+    ch = _AllChoices(attrgetter("labels"), list(surfaces))
     F = cache(lambda q: induce(target, include, q))
     signature = _Law("q", lambda s, q: ((target.labels_of(F(q)), target.grade_of(F(q))), (q.labels, q.grade)))
     renamed = _Law("q rho", lambda s, q, rho: (F(q.rename(rho)), s.rename(F(q), rho)))
@@ -628,53 +620,50 @@ def check_modular_morphism(
     restricted = _Law("q", lambda s, q: (F(q), include(q.cycles[0])))
 
     def contractions(split: bool):
-        return ((contracted, (q, a, b)) for q in qs for a, b in combinations(sorted(q.labels), 2)
+        return ((contracted, (q, a, b)) for (q,) in ch.elements(2) for a, b in ch.label_pairs(q)
                 if (q.cycle_containing(a) is q.cycle_containing(b)) == split)
 
     s = _Session(target, LawReport(f"surface-level morphism check into target '{target.name}'"))
-    s.run("signature_preservation", ((signature, (q,)) for q in qs), budget)
-    s.run("rename_compatibility", (
-        (renamed, (q, rho)) for q in qs for rho in _renamings_for(q.labels, all_labels, "u")
-    ), budget)
-    s.run("compose_compatibility", (
-        (composed, (q1, a, q2, b))
-        for q1 in qs for q2 in qs if not q1.labels & q2.labels
-        for a in sorted(q1.labels) for b in sorted(q2.labels)
-    ), budget)
+    s.run("signature_preservation", ((signature, xs) for xs in ch.elements(0)), budget)
+    s.run("rename_compatibility", _renamed(ch, renamed), budget)
+    s.run("compose_compatibility", _compose_symmetry(ch, composed), budget)
     s.run("contract_split_compatibility", contractions(True), budget)
     s.run("contract_merge_compatibility", contractions(False), budget)
     s.run("genus_zero_restriction", (
-        (restricted, (q,)) for q in qs if q.genus == 0 and q.boundary_count == 1
+        (restricted, (q,)) for q in ch.pool if q.genus == 0 and q.boundary_count == 1
     ), budget)
     return s.report
 
 
 @dataclass
 class AgreementReport:
-    """Whether every expression presenting one surface evaluates alike."""
+    """Whether every expression presenting one surface evaluates alike; ``values`` are the distinct ones."""
 
     subject: str
     expressions: int
-    values: tuple[str, ...]
-    value: object | None
+    values: tuple
 
     @property
     def agreed(self) -> bool:
         return len(self.values) == 1
+
+    @property
+    def value(self) -> object | None:
+        return self.values[0] if self.agreed else None
 
     def to_json(self) -> dict:
         return {
             "subject": self.subject,
             "expressions": self.expressions,
             "agreed": self.agreed,
-            "values": list(self.values),
+            "values": list(map(str, self.values)),
         }
 
     def __str__(self) -> str:
         verdict = "agree" if self.agreed else "DISAGREE"
         return (
             f"{self.subject}: {self.expressions} expressions {verdict}"
-            + (f" on {self.values[0]}" if self.agreed else f": {', '.join(self.values)}")
+            + (f" on {self.values[0]}" if self.agreed else f": {', '.join(map(str, self.values))}")
         )
 
 
@@ -686,17 +675,7 @@ def check_well_definedness(target: Target, include: Callable[[CyclicWord], objec
         value = evaluate_expression(target, include, expr.diagram)
         if value not in seen:
             seen.append(value)
-    return AgreementReport(
-        subject=str(q),
-        expressions=len(exprs),
-        values=tuple(map(str, seen)),
-        value=seen[0] if len(seen) == 1 else None,
-    )
-
-
-def _first_two_values(s: _Session, include: Callable[[CyclicWord], object], q: Surface):
-    values = check_well_definedness(s.t, include, q).values
-    return values[0], values[1 if len(values) > 1 else 0]
+    return AgreementReport(subject=str(q), expressions=len(exprs), values=tuple(seen))
 
 
 def check_universal_property(max_labels: int = 3, max_g: int = 1, budget: int | None = None) -> LawReport:
@@ -716,7 +695,7 @@ def check_universal_property(max_labels: int = 3, max_g: int = 1, budget: int | 
         f"(labels <= {max_labels}, genus <= {max_g})"
     )
     for target, include in ((SurfaceTarget(), surface_inclusion), (TerminalTarget(), terminal_inclusion)):
-        agreed = _Law("q", lambda s, q: _first_two_values(s, include, q))
+        agreed = _Law("q", lambda s, q: itemgetter(0, -1)(check_well_definedness(s.t, include, q).values))
         _Session(target, report).run(f"{target.name}.well_definedness", ((agreed, (q,)) for q in surfaces), budget)
         report.absorb(check_cyclic_morphism(target, include, words, budget), f"{target.name}.")
         report.absorb(check_modular_morphism(target, include, surfaces, budget), f"{target.name}.")

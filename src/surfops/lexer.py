@@ -28,6 +28,17 @@ class ParseError(ValueError):
         self.col = col
 
 
+def nonnegative_int(text: str) -> int | None:
+    """``text`` as a nonnegative integer in ASCII digits only, else None.
+
+    ``int`` alone would also take a sign, whitespace, underscores or other scripts' digits.
+    """
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 class _ItemError(ValueError):
     """A failed value check at the item with position ``index`` in the checked sequence."""
 

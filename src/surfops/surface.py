@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
-from .lexer import ParseError, TokenStream, _ItemError
-from .words import CyclicWord, Renaming, _check_items, _items, _Value, parse_word_items
+from .lexer import ParseError, TokenStream, _ItemError, nonnegative_int
+from .words import CyclicWord, Renaming, _check_items, _items, _Value, is_glue, parse_word_items
 
 
 @dataclass(frozen=True, init=False)
@@ -78,7 +78,7 @@ class Surface(_Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "Surface":
-        """The surface ``{"cycles": [[label, ...], ...], "g": genus}``; a wrong shape is a ParseError."""
+        """The surface ``{"cycles": [[label, ...], ...], "g": genus}``; a bad shape or glue token is a ParseError."""
         if not isinstance(data, dict) or "cycles" not in data or "g" not in data:
             raise ParseError('a JSON surface is an object with the keys "cycles" and "g"')
         cycles = data["cycles"]
@@ -88,6 +88,8 @@ class Surface(_Value):
             raise ParseError("labels must be strings")
         if not isinstance(data["g"], int) or isinstance(data["g"], bool):
             raise ParseError('"g" must be an integer')
+        if any(map(is_glue, chain.from_iterable(cycles))):
+            raise ParseError("glue tokens are not allowed in this context")
         return cls(cycles, data["g"])
 
     @classmethod
@@ -101,11 +103,8 @@ class Surface(_Value):
         toks = [*chain.from_iterable(cycles), ts.expect("}", "'}' or '('")]
         ts.expect("^")
         g_tok = ts.expect("name", "a nonnegative integer genus")
-        try:
-            genus = int(g_tok.text) if g_tok.text.isascii() and g_tok.text.isdigit() else -1
-        except ValueError:  # more digits than int() converts
-            genus = -1
-        if genus < 0:
+        genus = nonnegative_int(g_tok.text)
+        if genus is None:
             ts.error("genus must be a nonnegative integer", g_tok)
         ts.expect_end()
         return ts.build(lambda: cls([[tok.text for tok in c] for c in cycles], genus), toks)

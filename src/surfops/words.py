@@ -20,17 +20,17 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .lexer import ParseError, Token, TokenStream, _ItemError
+from .lexer import PUNCTUATION, ParseError, Token, TokenStream, _ItemError
 
 # Reserved in the textual grammars; none of these may appear inside a label.
-RESERVED_CHARS = "(){}[]^#;,"
+RESERVED_CHARS = PUNCTUATION + "#"
 
 _GLUE_RE = re.compile(r"#[1-9][0-9]*\Z")
 
 
 def is_glue(item: str) -> bool:
     """True for generated glue tokens of the form ``#k`` with k >= 1."""
-    return bool(_GLUE_RE.match(item))
+    return item[:1] == "#" and _GLUE_RE.match(item) is not None
 
 
 def glue(k: int) -> str:

@@ -7,6 +7,7 @@ from math import factorial, prod
 
 import pytest
 
+from surfops import canonical
 from surfops.canonical import all_canonical_diagrams, canonical_diagram
 from surfops.census import enumerate_surfaces, label_subsets, random_surface
 from surfops.diagram import ChordDiagram, evaluate
@@ -80,6 +81,24 @@ def test_presentations_are_limited():
     # twelve empty cycles beside ( a b ): 13 * 2 presentations, without walking 13! permutations
     assert len(all_canonical_diagrams(Surface.parse("{ " + "( ) " * 12 + "( a b ) }^0"))) == 26
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("q, label", [
+    (Surface([["#1", "a"]], 1), "#1"),
+    (Surface([["#2"], ["a"]], 0), "#2"),
+    (Surface([["b", "#3"], ["#1"]], 0), "#1"),
+])
+def test_glue_token_labels_are_refused(q, label, monkeypatch):
+    # Surface(...) takes glue tokens; a presentation would glue them to its own arcs
+    for present in (canonical_diagram, all_canonical_diagrams):
+        with pytest.raises(ValueError, match=f"label '{label}' is a glue token"):
+            present(q)
+    # the check runs once per surface, not once per presentation
+    calls = []
+    monkeypatch.setattr(canonical, "is_glue", lambda item: calls.append(item) or False)
+    q = Surface.parse("{ ( a b c ) ( d e ) }^1")
+    assert len(all_canonical_diagrams(q)) == 12
+    assert sorted(calls) == sorted(q.labels)
 
 
 def test_all_expressions_round_trip():

@@ -174,6 +174,20 @@ def test_json_surface_errors_exit_1(capsys):
         assert err.startswith("parse error")
 
 
+GLUE_IN_JSON = "parse error: line 1, col 1: glue tokens are not allowed in this context\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["canon", '{"cycles": [["#1", "a"]], "g": 1}'], GLUE_IN_JSON),
+    (["canon", "--all", '{"cycles": [["#2"], ["a"]], "g": 0}'], GLUE_IN_JSON),
+    (["rename", "{ ( a b ) }^0", "a #1, b c"], "parse error: line 1, col 3: label '#1' contains reserved character '#'\n"),
+    (["rename", "{ ( a b ) }^0", "a (, b c"], "parse error: line 1, col 3: label '(' contains reserved character '('\n"),
+    (["rename", "{ ( a b ) }^0", "a x,\nb #2"], "parse error: line 2, col 3: label '#2' contains reserved character '#'\n"),
+])
+def test_glue_tokens_and_bad_names_are_parse_errors(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
 def test_check_envelope_cli(capsys):
     code, out, _ = run(capsys, "check-envelope", "--max-labels", "2", "--max-g", "1")
     assert code == 0

@@ -1,13 +1,16 @@
 """Targets, induced maps, axiom and morphism checkers."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 
+from surfops import laws
 from surfops.census import enumerate_cyclic_words, enumerate_surfaces, label_subsets, random_diagram
 from surfops.diagram import evaluate
 from surfops.laws import (
     SurfaceTarget,
+    Target,
     TerminalElement,
     TerminalTarget,
     check_axioms,
@@ -78,6 +81,96 @@ axiom check against target 'surfaces'
   contract_factor_right            0 checked    0 failed  VACUOUS
   compose_associativity            0 checked    0 failed  VACUOUS
   total: 38 checked, 0 failed -> PASS"""
+
+# check-envelope at its defaults; with budget=3 every family stops at three instances.
+ENVELOPE_REPORT = """\
+universal-property check over 32 surfaces (labels <= 3, genus <= 1)
+  surfaces.well_definedness                   32 checked    0 failed  ok
+  surfaces.component_preservation              9 checked    0 failed  ok
+  surfaces.splice_compatibility               18 checked    0 failed  ok
+  surfaces.rename_equivariance                44 checked    0 failed  ok
+  surfaces.signature_preservation             32 checked    0 failed  ok
+  surfaces.rename_compatibility              208 checked    0 failed  ok
+  surfaces.compose_compatibility             120 checked    0 failed  ok
+  surfaces.contract_split_compatibility       24 checked    0 failed  ok
+  surfaces.contract_merge_compatibility       24 checked    0 failed  ok
+  surfaces.genus_zero_restriction              9 checked    0 failed  ok
+  terminal.well_definedness                   32 checked    0 failed  ok
+  terminal.component_preservation              9 checked    0 failed  ok
+  terminal.splice_compatibility               18 checked    0 failed  ok
+  terminal.rename_equivariance                44 checked    0 failed  ok
+  terminal.signature_preservation             32 checked    0 failed  ok
+  terminal.rename_compatibility              208 checked    0 failed  ok
+  terminal.compose_compatibility             120 checked    0 failed  ok
+  terminal.contract_split_compatibility       24 checked    0 failed  ok
+  terminal.contract_merge_compatibility       24 checked    0 failed  ok
+  terminal.genus_zero_restriction              9 checked    0 failed  ok
+  surfaces.identity                           32 checked    0 failed  ok
+  terminal.signature_value                    32 checked    0 failed  ok
+  total: 1104 checked, 0 failed -> PASS"""
+
+ENVELOPE_BUDGET_3_REPORT = """\
+universal-property check over 32 surfaces (labels <= 3, genus <= 1)
+  surfaces.well_definedness                    3 checked    0 failed  ok
+  surfaces.component_preservation              3 checked    0 failed  ok
+  surfaces.splice_compatibility                3 checked    0 failed  ok
+  surfaces.rename_equivariance                 3 checked    0 failed  ok
+  surfaces.signature_preservation              3 checked    0 failed  ok
+  surfaces.rename_compatibility                3 checked    0 failed  ok
+  surfaces.compose_compatibility               3 checked    0 failed  ok
+  surfaces.contract_split_compatibility        3 checked    0 failed  ok
+  surfaces.contract_merge_compatibility        3 checked    0 failed  ok
+  surfaces.genus_zero_restriction              3 checked    0 failed  ok
+  terminal.well_definedness                    3 checked    0 failed  ok
+  terminal.component_preservation              3 checked    0 failed  ok
+  terminal.splice_compatibility                3 checked    0 failed  ok
+  terminal.rename_equivariance                 3 checked    0 failed  ok
+  terminal.signature_preservation              3 checked    0 failed  ok
+  terminal.rename_compatibility                3 checked    0 failed  ok
+  terminal.compose_compatibility               3 checked    0 failed  ok
+  terminal.contract_split_compatibility        3 checked    0 failed  ok
+  terminal.contract_merge_compatibility        3 checked    0 failed  ok
+  terminal.genus_zero_restriction              3 checked    0 failed  ok
+  surfaces.identity                            3 checked    0 failed  ok
+  terminal.signature_value                     3 checked    0 failed  ok
+  total: 66 checked, 0 failed -> PASS"""
+
+# (checked, failures) per family for faulty maps over the envelope's default pools; they do
+# not depend on the order instances are drawn in.
+NO_GENUS_BUMP_MODULAR_COUNTS = {
+    "signature_preservation": (32, 16),
+    "rename_compatibility": (208, 0),
+    "compose_compatibility": (120, 0),
+    "contract_split_compatibility": (24, 0),
+    "contract_merge_compatibility": (24, 24),
+    "genus_zero_restriction": (9, 0),
+}
+TWISTED_CYCLIC_COUNTS = {
+    "component_preservation": (9, 4),
+    "splice_compatibility": (18, 18),
+    "rename_equivariance": (44, 24),
+}
+
+
+def twisted(w: CyclicWord) -> Surface:
+    """The inclusion pre-composed with a fixed swap of 1 and 2, which is not equivariant."""
+    table = {"1": "2", "2": "1"}
+    return Surface([tuple(table.get(item, item) for item in w.items)], 0)
+
+
+class MinimalTarget(Target):
+    """Only the three operations; labels and grades are read through the default accessors."""
+
+    name = "minimal"
+
+    def rename(self, x, renaming):
+        return TerminalElement(frozenset(map(renaming, x.labels)), x.grade)
+
+    def compose(self, x, a, y, b):
+        return TerminalElement((x.labels - {a}) | (y.labels - {b}), x.grade + y.grade)
+
+    def contract(self, x, a, b):
+        return TerminalElement(x.labels - {a, b}, x.grade + 1)
 
 
 def test_terminal_target_operations():
@@ -182,12 +275,6 @@ def test_cyclic_morphism_passes():
 
 
 def test_cyclic_morphism_catches_twisted_inclusion():
-    # inclusion pre-composed with a fixed swap is not equivariant
-    def twisted(w: CyclicWord) -> Surface:
-        table = {"1": "2", "2": "1"}
-        renamed = tuple(table.get(item, item) for item in w.items)
-        return Surface([renamed], 0)
-
     report = check_cyclic_morphism(SurfaceTarget(), twisted, small_words(2))
     assert not report.passed
     assert report.families["rename_equivariance"].failures > 0
@@ -232,3 +319,68 @@ def test_universal_property_aggregate():
     assert report.families["surfaces.identity"].checked > 0
     assert report.families["terminal.signature_value"].checked > 0
     assert report.families["surfaces.well_definedness"].failures == 0
+
+
+def test_universal_property_report_pinned():
+    assert str(check_universal_property(3, 1)) == ENVELOPE_REPORT
+    assert str(check_universal_property(3, 1, budget=3)) == ENVELOPE_BUDGET_3_REPORT
+
+
+def test_faulty_morphism_counts_pinned():
+    def counts(report):
+        return {name: (f.checked, f.failures) for name, f in report.families.items()}
+
+    assert counts(check_modular_morphism(NoGenusBump(), surface_inclusion, small_family(3, 1))) \
+        == NO_GENUS_BUMP_MODULAR_COUNTS
+    assert counts(check_cyclic_morphism(SurfaceTarget(), twisted, small_words(3))) == TWISTED_CYCLIC_COUNTS
+
+
+def test_well_definedness_keeps_values():
+    q = Surface.parse("{ ( 1 ) ( 2 3 ) }^1")
+    rep = check_well_definedness(SurfaceTarget(), surface_inclusion, q)
+    assert rep.values == (q,) and rep.value is rep.values[0]
+    assert rep.to_json()["values"] == [str(q)]
+
+
+class Shadow(NamedTuple):
+    """A terminal-like value that also remembers its base word, which its text hides."""
+
+    labels: frozenset
+    grade: int
+    base: tuple
+
+    def __str__(self) -> str:
+        return "shadow"
+
+
+class ShadowTarget(TerminalTarget):
+    def contract(self, x, a, b):
+        return Shadow(x.labels - {a, b}, x.grade + 1, x.base)
+
+
+def test_envelope_agreement_compares_values_not_text(monkeypatch):
+    # presentations of one surface have different base words, so their values differ, and print alike
+    monkeypatch.setattr(laws, "TerminalTarget", ShadowTarget)
+    monkeypatch.setattr(laws, "terminal_inclusion", lambda w: Shadow(w.labels, 0, w.items))
+    family = check_universal_property(2, 1).families["terminal.well_definedness"]
+    assert family.failures > 0
+    assert (family.counterexample.lhs, family.counterexample.rhs) == ("shadow", "shadow")
+
+
+def test_minimal_target_runs_through_the_harness():
+    elements = [TerminalElement(frozenset(sub), g) for sub in label_subsets(3) for g in range(3)]
+    for check, pool, include in [
+        (check_axioms, elements, None),
+        (check_cyclic_morphism, small_words(), terminal_inclusion),
+        (check_modular_morphism, small_family(), terminal_inclusion),
+    ]:
+        args = (pool,) if include is None else (include, pool)
+        report = check(MinimalTarget(), *args, budget=300)
+        assert report.passed and report.total_checked > 0, str(report)
+        assert report.families == check(TerminalTarget(), *args, budget=300).families
+
+
+def test_induce_refuses_glue_token_labels():
+    # Surface(...) takes glue tokens as labels; the canonical presentation refuses them
+    with pytest.raises(ValueError, match="label '#1' is a glue token"):
+        induce(SurfaceTarget(), surface_inclusion, Surface([["#1", "a"]], 1))

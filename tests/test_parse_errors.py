@@ -1,12 +1,14 @@
 """The three text grammars: exact error reports, round trips, and arbitrary input."""
 
+import argparse
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surfops.cli import _parse_surface, main
+from surfops.cli import _nonnegative, _parse_renaming, _parse_surface, main
 from surfops.diagram import ChordDiagram
-from surfops.lexer import ParseError
+from surfops.lexer import ParseError, nonnegative_int
 from surfops.surface import Surface
 from surfops.words import RESERVED_CHARS, CyclicWord, glue
 
@@ -119,6 +121,33 @@ def test_huge_genus_is_a_cli_parse_error(capsys, operand):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("00", 0), ("17", 17), ("+1", None), ("-1", None), (" 2", None), ("1_0", None),
+    ("\u0663", None), ("\u00b2", None), ("", None), (HUGE_GENUS, None),
+])
+def test_one_digit_rule_for_genus_and_options(text, value):
+    assert nonnegative_int(text) == value
+    if value is not None:
+        assert Surface.parse(f"{{ ( a ) }}^{text}").genus == _nonnegative(text) == value
+        return
+    with pytest.raises(argparse.ArgumentTypeError, match="expected a nonnegative integer"):
+        _nonnegative(text)
+    if text and text == text.strip():  # the tokenizer drops the whitespace around a genus token
+        with pytest.raises(ParseError, match="genus must be a nonnegative integer"):
+            Surface.parse(f"{{ ( a ) }}^{text}")
+
+
+@pytest.mark.parametrize("text, reason, col", [
+    ("a #1, b c", "label '#1' contains reserved character '#'", 3),
+    ("a (, b c", "label '(' contains reserved character '('", 3),
+    ("a x, #3 y", "label '#3' contains reserved character '#'", 6),
+])
+def test_renaming_names_are_labels(text, reason, col):
+    with pytest.raises(ParseError) as info:
+        _parse_renaming(text)
+    assert (info.value.reason, info.value.col) == (reason, col)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,13 @@ def test_from_json_non_string_label():
         Surface.from_json({"cycles": [["a", 1]], "g": 0})
 
 
+def test_from_json_refuses_glue_tokens():
+    for cycles in ([["#1", "a"]], [["#2"], ["a"]]):
+        with pytest.raises(ParseError, match="glue tokens are not allowed in this context"):
+            Surface.from_json({"cycles": cycles, "g": 1})
+        assert Surface(cycles, 1).labels  # the constructor stays permissive
+
+
 def test_from_json_genus_types():
     for genus in ("1", 1.5, True, None):
         with pytest.raises(ParseError):
