@@ -88,12 +88,14 @@ def test_presentations_are_limited():
     (Surface([["#2"], ["a"]], 0), "#2"),
     (Surface([["b", "#3"], ["#1"]], 0), "#1"),
 ])
-def test_glue_token_labels_are_refused(q, label, monkeypatch):
+def test_glue_token_labels_are_refused(q, label):
     # Surface(...) takes glue tokens; a presentation would glue them to its own arcs
     for present in (canonical_diagram, all_canonical_diagrams):
         with pytest.raises(ValueError, match=f"label '{label}' is a glue token"):
             present(q)
-    # the check runs once per surface, not once per presentation
+
+
+def test_glue_check_runs_once_per_surface(monkeypatch):
     calls = []
     monkeypatch.setattr(canonical, "is_glue", lambda item: calls.append(item) or False)
     q = Surface.parse("{ ( a b c ) ( d e ) }^1")
