@@ -5,111 +5,32 @@ plus a multiset of boundary cycles of marked points.  It provides the three
 operations (renaming, end-to-end composition, self-gluing), chord diagrams
 with evaluation and rewriting moves, canonical presentations, exhaustive and
 randomized law checkers, and a command line front end.
+
+Each module's ``__all__`` is its public API; the package re-exports them all.
 """
 
-from .assoc import splice, to_surface
-from .canonical import CanonicalExpression, all_canonical_diagrams, canonical_diagram
-from .census import (
-    cycle_decompositions,
-    distribution_rows,
-    enumerate_cyclic_words,
-    enumerate_matchings,
-    enumerate_surfaces,
-    genus_distribution,
-    random_diagram,
-    random_surface,
-)
-from .diagram import ChordDiagram, evaluate, render_dot
-from .laws import (
-    AgreementReport,
-    LawReport,
-    SurfaceTarget,
-    Target,
-    TerminalElement,
-    TerminalTarget,
-    check_axioms,
-    check_axioms_random,
-    check_cyclic_morphism,
-    check_modular_morphism,
-    check_universal_property,
-    check_well_definedness,
-    evaluate_expression,
-    induce,
-    surface_inclusion,
-    terminal_inclusion,
-)
-from .lexer import ParseError
-from .rewrite import (
-    BoundaryMove,
-    HandleMove,
-    Move,
-    RotateMove,
-    apply_move,
-    apply_moves,
-    equivalent,
-    find_certificate,
-    move_boundary,
-    move_handle,
-    neighbors,
-    rotate_sides,
-)
-from .surface import Surface, compose, self_glue
-from .words import CyclicWord, Renaming, glue, is_glue
+from . import assoc, canonical, census, diagram, laws, lexer, rewrite, surface, words
+from .assoc import *
+from .canonical import *
+from .census import *
+from .diagram import *
+from .laws import *
+from .lexer import *
+from .rewrite import *
+from .surface import *
+from .words import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclicWord",
-    "Renaming",
-    "glue",
-    "is_glue",
-    "Surface",
-    "compose",
-    "self_glue",
-    "splice",
-    "to_surface",
-    "ChordDiagram",
-    "evaluate",
-    "render_dot",
-    "CanonicalExpression",
-    "canonical_diagram",
-    "all_canonical_diagrams",
-    "RotateMove",
-    "BoundaryMove",
-    "HandleMove",
-    "Move",
-    "rotate_sides",
-    "move_boundary",
-    "move_handle",
-    "apply_move",
-    "apply_moves",
-    "equivalent",
-    "neighbors",
-    "find_certificate",
-    "cycle_decompositions",
-    "enumerate_surfaces",
-    "enumerate_cyclic_words",
-    "enumerate_matchings",
-    "genus_distribution",
-    "distribution_rows",
-    "random_surface",
-    "random_diagram",
-    "Target",
-    "SurfaceTarget",
-    "TerminalTarget",
-    "TerminalElement",
-    "surface_inclusion",
-    "terminal_inclusion",
-    "evaluate_expression",
-    "induce",
-    "LawReport",
-    "AgreementReport",
-    "check_axioms",
-    "check_axioms_random",
-    "check_cyclic_morphism",
-    "check_modular_morphism",
-    "check_well_definedness",
-    "check_universal_property",
-    "ParseError",
+    *words.__all__,
+    *surface.__all__,
+    *assoc.__all__,
+    *diagram.__all__,
+    *canonical.__all__,
+    *rewrite.__all__,
+    *census.__all__,
+    *laws.__all__,
+    *lexer.__all__,
     "__version__",
 ]

@@ -234,7 +234,6 @@ def random_diagram(
 
 __all__ = [
     "cycle_decompositions",
-    "label_subsets",
     "enumerate_surfaces",
     "enumerate_cyclic_words",
     "enumerate_matchings",

@@ -48,7 +48,8 @@ def _read_operand(text: str) -> str:
     return sys.stdin.read() if text == "-" else text
 
 
-def _parse_surface(text: str) -> Surface:
+def _parse_surface(operand: str) -> Surface:
+    text = _read_operand(operand)
     stripped = text.strip()
     if stripped.startswith("{") and stripped[1:].lstrip().startswith('"'):
         try:
@@ -93,7 +94,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    q = _parse_surface(_read_operand(args.surface))
+    q = _parse_surface(args.surface)
     exprs = all_canonical_diagrams(q) if args.all else [canonical_diagram(q)]
     if args.json:
         payload = [e.to_json() for e in exprs]
@@ -107,22 +108,22 @@ def cmd_canon(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    q1 = _parse_surface(_read_operand(args.left))
-    q2 = _parse_surface(_read_operand(args.right))
+    q1 = _parse_surface(args.left)
+    q2 = _parse_surface(args.right)
     out = compose(q1, args.a, q2, args.b)
     print(out.json() if args.json else str(out))
     return 0
 
 
 def cmd_glue(args) -> int:
-    q = _parse_surface(_read_operand(args.surface))
+    q = _parse_surface(args.surface)
     out = self_glue(q, args.a, args.b)
     print(out.json() if args.json else str(out))
     return 0
 
 
 def cmd_rename(args) -> int:
-    q = _parse_surface(_read_operand(args.surface))
+    q = _parse_surface(args.surface)
     out = q.rename(_parse_renaming(args.map))
     print(out.json() if args.json else str(out))
     return 0

@@ -200,4 +200,4 @@ def render_dot(d: ChordDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-__all__ = ["Arc", "ChordDiagram", "evaluate", "render_dot"]
+__all__ = ["ChordDiagram", "evaluate", "render_dot"]

@@ -192,12 +192,17 @@ class LawReport:
             if fam.counterexample is None:
                 fam.counterexample = res.counterexample
 
+    def _vacuous(self) -> list[str]:
+        """The families no instance reached: they have shown nothing either way."""
+        return [name for name, res in self.families.items() if not res.checked]
+
     def to_json(self) -> dict:
         return {
             "title": self.title,
             "passed": self.passed,
             "checked": self.total_checked,
             "failures": self.total_failures,
+            "vacuous": self._vacuous(),
             "families": {
                 name: {
                     "checked": res.checked,
@@ -212,14 +217,15 @@ class LawReport:
         lines = [f"{self.title}"]
         width = max((len(n) for n in self.families), default=0)
         for name, res in self.families.items():
-            # a family no instance reached has shown nothing either way
             verdict = "FAIL" if res.failures else "ok" if res.checked else "VACUOUS"
             lines.append(f"  {name.ljust(width)}  {res.checked:>7} checked  {res.failures:>3} failed  {verdict}")
             if res.counterexample is not None:
                 lines.append(str(res.counterexample))
+        vacuous = len(self._vacuous())
         lines.append(
             f"  total: {self.total_checked} checked, {self.total_failures} failed -> "
             + ("PASS" if self.passed else "FAIL")
+            + (f" ({vacuous} of {len(self.families)} families vacuous)" if vacuous else "")
         )
         return "\n".join(lines)
 
@@ -718,15 +724,10 @@ __all__ = [
     "terminal_inclusion",
     "evaluate_expression",
     "induce",
-    "Counterexample",
-    "FamilyResult",
     "LawReport",
     "AgreementReport",
-    "AXIOM_FAMILIES",
     "check_axioms",
     "check_axioms_random",
-    "surface_sampler",
-    "terminal_sampler",
     "check_cyclic_morphism",
     "check_modular_morphism",
     "check_well_definedness",

@@ -128,3 +128,6 @@ class TokenStream:
             return make()
         except _ItemError as exc:
             self.error(str(exc), tokens[exc.index])
+
+
+__all__ = ["ParseError"]

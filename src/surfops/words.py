@@ -5,8 +5,7 @@ to rotation.  Words are stored in their canonical rotation (the
 lexicographically smallest one), so equality and hashing are plain value
 comparisons on the stored tuple.  Because the items are distinct, that
 rotation is the one starting at the least item, which ``_least_first`` finds
-with one ``min`` and one ``index``; the general ``min_rotation`` compares
-whole rotations and serves sequences with repeats.
+with one ``min`` and one ``index``.
 
 Checks run once, in the public constructors; the parsers read syntax and then
 call them.  A constructor checks, then calls its build step ``_build``, which
@@ -18,9 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .lexer import PUNCTUATION, ParseError, Token, TokenStream, _ItemError
+from .lexer import PUNCTUATION, Token, TokenStream, _ItemError
 
 # Reserved in the textual grammars; none of these may appear inside a label.
 RESERVED_CHARS = PUNCTUATION + "#"
@@ -67,12 +66,12 @@ def _items(seq: Iterable[str]) -> tuple[str, ...]:
     return tuple(seq)
 
 
-def _check_items(items: Iterable[str], repeated: str) -> None:
-    """Each item valid and none repeated; ``repeated`` formats the error for a repeat."""
+def _check_items(items: Iterable[str], repeated: str, check: Callable[[str], str] = check_item) -> None:
+    """Each item passes ``check`` and none is repeated; ``repeated`` formats the error for a repeat."""
     seen: set[str] = set()
     for i, item in enumerate(items):
         try:
-            check_item(item)
+            check(item)
         except ValueError as exc:
             raise _ItemError(str(exc), i) from None
         if item in seen:
@@ -80,25 +79,13 @@ def _check_items(items: Iterable[str], repeated: str) -> None:
         seen.add(item)
 
 
-def min_rotation(items: tuple[str, ...]) -> tuple[str, ...]:
-    """The lexicographically smallest rotation of ``items``, repeats allowed.
-
-    On pairwise distinct items it equals ``_least_first(items)``.  With a
-    repeated least item several rotations start alike, and only comparing
-    them whole picks the smallest, so this compares every rotation.
-    """
-    if len(items) < 2:
-        return items
-    return min(items[i:] + items[:i] for i in range(len(items)))
-
-
 def _least_first(items: tuple[str, ...]) -> tuple[str, ...]:
     """The rotation of pairwise distinct ``items`` that starts at the least item.
 
     Distinct items start distinct rotations, so the first item alone orders
-    them and this is ``min_rotation(items)``.  With a repeated least item it
-    may start at the wrong copy: ``(b, a, c, a)`` gives ``(a, c, a, b)``,
-    not the least ``(a, b, a, c)``.
+    them and this is the least rotation.  With a repeated least item it may
+    start at the wrong copy: ``(b, a, c, a)`` gives ``(a, c, a, b)``, not the
+    least ``(a, b, a, c)``.
     """
     if len(items) < 2:
         return items
@@ -125,8 +112,8 @@ class Renaming(_Value):
     def __init__(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]]) -> None:
         items = mapping.items() if isinstance(mapping, Mapping) else list(mapping)
         pairs = tuple(sorted((src, dst) for src, dst in map(_items, items)))
-        _check_items([src for src, _ in pairs], "renaming maps some label twice")
-        _check_items([dst for _, dst in pairs], "renaming is not injective")
+        _check_items([src for src, _ in pairs], "renaming maps some label twice", check_label)
+        _check_items([dst for _, dst in pairs], "renaming is not injective", check_label)
         self._build(pairs)
 
     def _build(self, pairs: Iterable[tuple[str, str]]) -> None:
@@ -249,15 +236,4 @@ def parse_word_items(ts: TokenStream) -> list[Token]:
         toks.append(ts.advance())
 
 
-__all__ = [
-    "RESERVED_CHARS",
-    "ParseError",
-    "Renaming",
-    "CyclicWord",
-    "check_label",
-    "check_item",
-    "is_glue",
-    "glue",
-    "min_rotation",
-    "parse_word_items",
-]
+__all__ = ["CyclicWord", "Renaming", "glue", "is_glue"]

@@ -143,7 +143,18 @@ def test_check_axioms_default_marks_vacuous_families(capsys):
     assert vacuous == ["contract_commutativity", "contract_compose_exchange", "contract_factor_left",
                        "contract_factor_right", "compose_associativity"]
     assert all(" 0 checked " in line for line in lines if line.endswith("VACUOUS"))
-    assert lines[-1] == "  total: 110 checked, 0 failed -> PASS"
+    assert lines[-1] == "  total: 110 checked, 0 failed -> PASS (5 of 9 families vacuous)"
+    code, out, _ = run(capsys, "check-axioms", "--json")
+    assert code == 0
+    assert json.loads(out)["vacuous"] == vacuous
+
+
+def test_envelope_total_counts_vacuous_families(capsys):
+    code, out, _ = run(capsys, "check-envelope", "--max-labels", "1", "--max-g", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "  total: 36 checked, 0 failed -> PASS (8 of 22 families vacuous)"
+    code, out, _ = run(capsys, "check-envelope", "--json")
+    assert json.loads(out)["vacuous"] == []
 
 
 @pytest.mark.parametrize("argv", [

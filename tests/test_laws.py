@@ -67,7 +67,7 @@ axiom check against target 'surfaces'
   contract_factor_left             0 checked    0 failed  VACUOUS
   contract_factor_right            0 checked    0 failed  VACUOUS
   compose_associativity            0 checked    0 failed  VACUOUS
-  total: 110 checked, 8 failed -> FAIL"""
+  total: 110 checked, 8 failed -> FAIL (5 of 9 families vacuous)"""
 
 BUDGET_10_REPORT = """\
 axiom check against target 'surfaces'
@@ -80,7 +80,7 @@ axiom check against target 'surfaces'
   contract_factor_left             0 checked    0 failed  VACUOUS
   contract_factor_right            0 checked    0 failed  VACUOUS
   compose_associativity            0 checked    0 failed  VACUOUS
-  total: 38 checked, 0 failed -> PASS"""
+  total: 38 checked, 0 failed -> PASS (5 of 9 families vacuous)"""
 
 # check-envelope at its defaults; with budget=3 every family stops at three instances.
 ENVELOPE_REPORT = """\

@@ -1,10 +1,29 @@
-"""Source rules for the package: invariants survive ``python -O``, and the oracles stay independent."""
+"""Source rules for the package: invariants survive ``python -O``, the oracles stay independent,
+and each public name is declared once, in its module's ``__all__``."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import surfops
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "surfops").glob("*.py"))
 INDEPENDENT = {"oracles", "perfbench"}  # the references the package is checked against
+FRONT_ENDS = {"__init__", "__main__", "cli"}  # every other module declares its API in __all__
+
+# The package API, pinned: a name added or dropped here is a listed behaviour change.
+EXPORTS = sorted([
+    "AgreementReport", "BoundaryMove", "CanonicalExpression", "ChordDiagram", "CyclicWord", "HandleMove",
+    "LawReport", "Move", "ParseError", "Renaming", "RotateMove", "Surface", "SurfaceTarget", "Target",
+    "TerminalElement", "TerminalTarget", "__version__", "all_canonical_diagrams", "apply_move",
+    "apply_moves", "canonical_diagram", "check_axioms", "check_axioms_random", "check_cyclic_morphism",
+    "check_modular_morphism", "check_universal_property", "check_well_definedness", "compose",
+    "cycle_decompositions", "distribution_rows", "enumerate_cyclic_words", "enumerate_matchings",
+    "enumerate_surfaces", "equivalent", "evaluate", "evaluate_expression", "find_certificate",
+    "genus_distribution", "glue", "induce", "is_glue", "move_boundary", "move_handle", "neighbors",
+    "random_diagram", "random_surface", "render_dot", "rotate_sides", "self_glue", "splice",
+    "surface_inclusion", "terminal_inclusion", "to_surface",
+])
 
 
 def _trees():
@@ -30,3 +49,41 @@ def test_no_imports_of_the_oracles():
     found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
              if INDEPENDENT & {part for dotted in _imported(node) for part in dotted.split(".")}]
     assert found == [], f"the package imports an oracle: {found}"
+
+
+def _api_modules():
+    return [importlib.import_module(f"surfops.{path.stem}") for path in SOURCES if path.stem not in FRONT_ENDS]
+
+
+def test_export_set_is_pinned():
+    assert len(EXPORTS) == 53
+    assert sorted(surfops.__all__) == EXPORTS
+    namespace: dict = {}
+    exec("from surfops import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+
+
+def test_each_module_declares_its_public_names():
+    for module in _api_modules():
+        assert "__all__" in vars(module), f"{module.__name__} has no __all__"
+        for name in module.__all__:
+            assert not name.startswith("_"), f"{module.__name__} exports the private {name}"
+            assert hasattr(module, name), f"{module.__name__}.__all__ names the missing {name}"
+
+
+def test_only_the_package_star_imports():
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() if name != "__init__.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)]
+    assert found == [], f"star imports outside __init__.py: {found}"
+
+
+def test_package_all_joins_the_module_lists():
+    joined = [name for module in _api_modules() for name in module.__all__] + ["__version__"]
+    assert len(set(joined)) == len(joined), "a name is declared in two modules"
+    assert sorted(surfops.__all__) == sorted(joined)
+    # and __init__.py writes no name by hand beyond __version__
+    tree = dict(_trees())["__init__.py"]
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    assert [ast.literal_eval(elt) for elt in value.elts if not isinstance(elt, ast.Starred)] == ["__version__"]

@@ -45,6 +45,9 @@ def test_rename():
     assert Surface([("a",), ("b",)], 1).rename(swap) == Surface([("a",), ("b",)], 1)
     with pytest.raises(ValueError):
         q.rename(Renaming({"a": "x"}))
+    # refused as the Renaming is built, so rename never makes a surface its parser rejects
+    with pytest.raises(ValueError, match="label '#1' contains reserved character '#'"):
+        q.rename(Renaming({"a": "#1", "b": "c"}))
 
 
 def test_compose_examples():
