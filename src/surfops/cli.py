@@ -9,7 +9,9 @@ reads the operand from stdin, and surfaces are also accepted as JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import re
 import sys
@@ -85,6 +87,14 @@ def _nonnegative(text: str) -> int:
     if value is None:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer in ASCII digits, with an optional leading '-'."""
+    value = nonnegative_int(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def cmd_eval(args) -> int:
@@ -200,6 +210,7 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main call, then reused: building is most of an in-process call
 def build_parser() -> _Parser:
     parser = _Parser(prog="surfops", description="Surface algebra toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -252,7 +263,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=_nonnegative, default=None, help="cap instances per family")
     p.add_argument("--random", type=_nonnegative, default=0, metavar="N",
                    help="also run N randomized larger instances")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_check_axioms)
 
@@ -294,7 +305,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()  # inside the try, so that a reader who closed the pipe is noticed here
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that flush cannot fail as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

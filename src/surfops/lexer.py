@@ -7,6 +7,7 @@ integer) is a glue token.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -54,21 +55,23 @@ class Token:
     pos: int
 
 
+# \s matches exactly the characters for which str.isspace is true
+_SPACE = re.compile(r"\s*")
+_NAME = re.compile(r"[^\s(){}\[\]^;,#]+")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
+    skip, name = _SPACE.match, _NAME.match
+    i, n = skip(text).end(), len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in PUNCTUATION:
             tokens.append(Token(ch, ch, i))
             i += 1
-            continue
-        if ch == "#":
+        elif ch == "#":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdigit():  # not \d, which would differ on digits like '²'
                 j += 1
             digits = text[i + 1 : j]
             if not digits:
@@ -77,14 +80,15 @@ def tokenize(text: str) -> list[Token]:
                 raise ParseError("glue token ids are positive integers without leading zeros", text, i)
             tokens.append(Token("glue", f"#{digits}", i))
             i = j
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in PUNCTUATION and text[j] != "#":
-            if not text[j].isprintable():
-                raise ParseError(f"unprintable character {text[j]!r}", text, j)
-            j += 1
-        tokens.append(Token("name", text[i:j], i))
-        i = j
+        else:
+            j = name(text, i).end()
+            word = text[i:j]
+            if not word.isprintable():
+                k = next(k for k, c in enumerate(word) if not c.isprintable())
+                raise ParseError(f"unprintable character {word[k]!r}", text, i + k)
+            tokens.append(Token("name", word, i))
+            i = j
+        i = skip(text, i).end()
     tokens.append(Token("end", "", n))
     return tokens
 

@@ -136,3 +136,44 @@ def successor_bases(base: list[str], arcs: list[tuple[str, str]]) -> list[list[s
             if partner.get(a) == c and partner.get(b) == d:
                 successors += moved([a, b, c, d], i)
     return successors
+
+
+def tokenize_reference(text: str) -> list[tuple[str, str, int]]:
+    """The lexer as a character loop: a list of (kind, text, pos), or ValueError(reason, pos).
+
+    Punctuation characters are tokens of their own kind, whitespace separates
+    names, and '#' followed by str.isdigit characters is a glue token.
+    """
+    punctuation = "(){}[]^;,"
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in punctuation:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch == "#":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            digits = text[i + 1 : j]
+            if not digits:
+                raise ValueError("expected digits after '#'", i)
+            if digits[0] == "0":
+                raise ValueError("glue token ids are positive integers without leading zeros", i)
+            tokens.append(("glue", f"#{digits}", i))
+            i = j
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in punctuation and text[j] != "#":
+            if not text[j].isprintable():
+                raise ValueError(f"unprintable character {text[j]!r}", j)
+            j += 1
+        tokens.append(("name", text[i:j], i))
+        i = j
+    tokens.append(("end", "", n))
+    return tokens

@@ -1,14 +1,16 @@
 """Command line behavior: outputs, exit codes, JSON, stdin."""
 
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
-from surfops.cli import main
+from surfops.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -178,6 +180,21 @@ def test_negative_numeric_options_are_usage_errors(capsys, argv):
     assert "nonnegative integer" in err
 
 
+@pytest.mark.parametrize("seed", ["\u0661", " 1_0", "+1", "1.0", ""])  # \u0661: ARABIC-INDIC DIGIT ONE
+def test_seed_takes_ascii_digits_with_an_optional_minus(capsys, seed):
+    code, out, err = run(capsys, "check-axioms", "--max-labels", "1", "--max-g", "0", "--random", "2",
+                         "--seed", seed)
+    assert (code, out) == (1, "")
+    assert err == f"surfops check-axioms: argument --seed: expected an integer, got {seed!r}\n"
+
+
+def test_negative_seed(capsys):
+    code, out, _ = run(capsys, "check-axioms", "--max-labels", "1", "--max-g", "0", "--random", "2",
+                       "--seed", "-3")
+    assert code == 0
+    assert out.splitlines()[-1] == "  total: 8 checked, 0 failed -> PASS (7 of 9 families vacuous)"
+
+
 def test_json_surface_errors_exit_1(capsys):
     for operand in ['{"cycles": [["a","b"]]}', '{"cycles": "ab", "g": 0}', '{"cycles": [["a", 1]], "g": 0}']:
         code, out, err = run(capsys, "canon", operand)
@@ -240,3 +257,88 @@ def test_seeded_random_reproducible(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "surfops", "check-axioms", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+# main calls of the tests above, plus usage errors and every --help: main reuses one parser
+# per process, so a call must not depend on the calls made before it.
+TABLE = [
+    ["eval", "[ a #1 b #2 ; (#1 #2) ]"],
+    ["eval", "[ #1 #2 ; (#1 #2) ]", "--json"],
+    ["eval", "[ a #1 ; ]"],
+    ["eval"],
+    ["eval"],
+    ["glue", "{ ( a 1 b 2 ) }^0", "a", "b"],
+    ["glue", "{ ( a ) }^0", "a", "a"],
+    ["glue", '{"cycles": [["a", "x", "b"]], "g": 0}', "a", "b"],
+    ["compose", "{ ( c 1 2 ) }^0", "c", "{ ( 3 cp ) }^0", "cp"],
+    ["compose", "{ ( c 1 2 ) }^0", "c", "{ ( 3 cp ) }^0", "cp", "--json"],
+    ["rename", "{ ( a b ) }^1", "a x, b y"],
+    ["rename", "{ ( a b ) }^0", "a #1, b c"],
+    ["canon", "{ ( 1 ) ( 2 ) }^1"],
+    ["canon", "{ ( 1 2 ) }^0", "--all", "--annotate"],
+    ["canon", "{ ( a ) }^1", "--json"],
+    ["canon", '{"cycles": [["#1", "a"]], "g": 1}'],
+    ["equal", "[ #1 #2 #3 #4 ; (#1 #3) (#2 #4) ]", "[ #1 #2 #3 #4 ; (#1 #2) (#3 #4) ]"],
+    ["equal", "[ a b #1 c #2 ; (#1 #2) ]", "[ b a #1 c #2 ; (#1 #2) ]", "--certificate"],
+    ["equal", "[ a b #1 c #2 ; (#1 #2) ]", "[ b a #1 c #2 ; (#1 #2) ]", "--certificate", "--depth", "0"],
+    ["equal", "--certificate", "--depth", "-3", "[ a ; ]", "[ a ; ]"],
+    ["check-axioms", "--max-labels", "1", "--max-g", "0", "--random", "27", "--seed", "3", "--json"],
+    ["check-axioms", "--max-labels", "1", "--max-g", "0", "--random", "27", "--seed", "3"],
+    ["check-axioms", "--target", "terminal", "--max-labels", "2", "--max-g", "1", "--budget", "50"],
+    ["check-axioms", "--json"],
+    ["check-axioms"],
+    ["check-axioms", "--max-labels", "-1"],
+    ["check-axioms", "--seed", "\u0661"],
+    ["check-envelope", "--max-labels", "1", "--max-g", "0"],
+    ["check-envelope", "--max-labels", "1", "--max-g", "0", "--json"],
+    ["hz-table", "--chords", "3", "--json"],
+    ["hz-table", "--chords", "2"],
+    ["hz-table", "--chords", "10"],
+    ["hz-table", "--chords", "\u0663"],
+    ["hz-table"],
+    ["render", "[ a #1 b #2 ; (#1 #2) ]"],
+    ["render", "[ a #1 b #2 ; (#1 #2) ]", "--format", "svg"],
+    ["now-such-command"],
+    [],
+    ["--help"],
+    *[[command, "--help"] for command in ("eval", "canon", "compose", "glue", "rename", "equal",
+                                          "check-axioms", "check-envelope", "hz-table", "render")],
+]
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = f"SystemExit({exc.code})"
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_calls_match_a_fresh_parser():
+    fresh = []
+    for argv in TABLE:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert build_parser() is build_parser()
+    assert [call(argv) for argv in TABLE] == fresh
+    assert [call(argv) for argv in reversed(TABLE)] == fresh[::-1]
+    assert fresh[3] == fresh[4] == (1, "", "surfops eval: the following arguments are required: diagram\n")
+    assert fresh[TABLE.index(["--help"])][0] == "SystemExit(0)"
+    assert json.loads(fresh[TABLE.index(["check-axioms", "--json"])][1])["passed"] is True
+    assert fresh[TABLE.index(["check-axioms"])][1].endswith("-> PASS (5 of 9 families vacuous)\n")

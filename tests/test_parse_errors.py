@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import tokenize_reference
 from surfops.cli import _nonnegative, _parse_renaming, _parse_surface, main
 from surfops.diagram import ChordDiagram
-from surfops.lexer import ParseError, nonnegative_int
+from surfops.lexer import ParseError, nonnegative_int, tokenize
 from surfops.surface import Surface
 from surfops.words import RESERVED_CHARS, CyclicWord, glue
 
@@ -193,6 +194,19 @@ def test_diagram_text_round_trip(d):
 pieces = st.sampled_from(["(", ")", "{", "}", "[", "]", "^", ";", ",", "#", "#1", "#2", "#3", "#0", "#١",
                           "a", "b", "0", "1", "²", "١", " ", "\n", "\x01", "-"])
 texts = st.one_of(st.text(max_size=20), st.lists(pieces, max_size=20).map("".join))
+
+
+@given(st.one_of(texts, st.text(st.characters(), max_size=40), st.lists(st.sampled_from(
+    ["\t", "\x1c", "\x85", "\u2028", "\u3000", "\u200b", "\ufeff", "#²", "#12", "x#"]), max_size=12).map("".join)))
+def test_tokenize_agrees_with_the_reference_loop(text):
+    try:
+        want = tokenize_reference(text)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        assert (info.value.reason, info.value.pos) == exc.args
+        return
+    assert [(t.kind, t.text, t.pos) for t in tokenize(text)] == want
 
 
 @given(texts)
