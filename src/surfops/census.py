@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .diagram import ChordDiagram
+from .diagram import ChordDiagram, _genus
 from .surface import Surface
 from .words import CyclicWord, check_label, glue
 
@@ -87,6 +87,18 @@ def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:
 
 
 _MAX_CHORDS = 9  # n = 9 is 34 459 425 matchings; n = 10 would be 654 729 075
+_MAX_DIAGRAMS = 7  # enumerate_matchings keeps them all: n = 7 is 135 135, about 100 MiB; n = 8 would be 2 027 025
+
+
+def _require_chords(n: int, limit: int, what: str) -> None:
+    """Refuse a negative ``n``, and an ``n`` past ``limit``, because (2n-1)!! grows factorially."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > limit:
+        count = prod(range(1, 2 * min(n, 50), 2))  # exact up to n = 50, a lower bound past it
+        size = count if n <= 50 else f"more than {count:.1e}"
+        raise ValueError(f"{what} of n = {n} chords would enumerate (2n-1)!! = {size} matchings; "
+                         f"it is limited to n <= {limit}")
 
 
 def _partner_arrays(m: int) -> Iterator[list[int]]:
@@ -133,43 +145,25 @@ def _face_count(partner: list[int]) -> int:
 
 
 def enumerate_matchings(n: int) -> list[ChordDiagram]:
-    """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching, sorted by arcs."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching, sorted by arcs, for 0 <= n <= 7."""
+    _require_chords(n, _MAX_DIAGRAMS, "the diagram list")
     base = tuple(glue(k) for k in range(1, 2 * n + 1))
     # each arc starts at its lower point, in increasing order: canonical arcs
-    return sorted(
-        (
-            ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
-            for partner in _partner_arrays(2 * n)
-        ),
-        key=lambda d: d.arcs,
-    )
+    diagrams = (ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
+                for partner in _partner_arrays(2 * n))
+    return sorted(diagrams, key=lambda d: d.arcs)
 
 
 def genus_distribution(n: int) -> dict[int, int]:
     """Counts of genus over all (2n-1)!! perfect matchings on 2n points, for 0 <= n <= 9.
 
     The census counts faces on integer pairings and builds no diagram or
-    surface: gluing a band along each of the n arcs of a matching to a disc
-    leaves f boundary cycles and genus g with 2g = n + 1 - f.  Larger n is a
-    ValueError, because the count (2n-1)!! grows factorially.
+    surface; n arcs with f faces have the genus ``diagram._genus(n, f)``.
+    Larger n is a ValueError, because the count (2n-1)!! grows factorially.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > _MAX_CHORDS:
-        count = prod(range(1, 2 * min(n, 50), 2))  # exact up to n = 50, a lower bound past it
-        size = count if n <= 50 else f"more than {count:.1e}"
-        raise ValueError(f"the census of n = {n} chords would enumerate (2n-1)!! = {size} matchings; "
-                         f"it is limited to n <= {_MAX_CHORDS}")
+    _require_chords(n, _MAX_CHORDS, "the census")
     by_faces = Counter(_face_count(partner) for partner in _partner_arrays(2 * n))
-    counts: dict[int, int] = {}
-    for faces, count in by_faces.items():
-        twice_genus = n + 1 - faces
-        if twice_genus < 0 or twice_genus % 2:
-            raise AssertionError(f"{n} arcs and {faces} faces break the Euler characteristic")
-        counts[twice_genus // 2] = count
-    return dict(sorted(counts.items()))
+    return dict(sorted((_genus(n, faces), count) for faces, count in by_faces.items()))
 
 
 def distribution_rows(dist: dict[int, int]) -> str:

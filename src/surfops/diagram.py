@@ -6,12 +6,13 @@ grade of that surface always equals the number of arcs, and it does not
 depend on the order in which the arcs are glued.
 
 ``evaluate`` computes the value without gluing: a diagram is a disc with one
-band per arc, a one-vertex ribbon graph, and its boundary cycles are the
-orbits of the face permutation "step to the next item; on a glue token, jump
-to the item after its partner".  The genus then follows from the Euler
-characteristic.  ``_fold`` is the one arc fold: include the base word, then
-contract each arc in turn.  ``evaluate(d, order=...)`` folds ``self_glue``,
-the tracer's reference, and the law harness folds a target's ``contract``.
+band per arc, a one-vertex ribbon graph.  ``_partner`` reads it as one array
+over base positions (the moves' handle test reads it too, and the census's
+matchings share its convention).  The faces are the orbits of
+``p -> partner[p] + 1``, and ``_genus`` is the one Euler step, here and in the
+census.  ``_fold`` is the one arc fold: include the base word, then contract
+each arc in turn; ``evaluate(d, order=...)`` folds ``self_glue``, the tracer's
+reference, and the law harness folds a target's ``contract``.
 
 ``ChordDiagram(...)`` checks base and arcs, and ``parse`` goes through it.
 Diagrams derived from valid ones (moves, layouts, matchings) skip the check.
@@ -146,15 +147,29 @@ def _fold(d: ChordDiagram, include: Callable[[CyclicWord], _T], contract: Callab
     return value
 
 
+def _partner(d: ChordDiagram) -> list[int]:
+    """``partner[p]``: the position an arc matches to ``p``, or ``p`` for a label (as ``census._partner_arrays``)."""
+    index = {item: i for i, item in enumerate(d.base)}
+    partner = list(range(len(d.base)))
+    for x, y in d.arcs:
+        i, j = index[x], index[y]
+        partner[i], partner[j] = j, i
+    return partner
+
+
+def _genus(arcs: int, faces: int) -> int:
+    """The genus of a one-vertex ribbon graph with these counts: 2g = arcs + 1 - faces."""
+    twice_genus = arcs + 1 - faces
+    if twice_genus < 0 or twice_genus % 2:
+        raise AssertionError(f"{arcs} arcs and {faces} faces break the Euler characteristic")
+    return twice_genus // 2
+
+
 def _trace_faces(d: ChordDiagram) -> Surface:
     """Read the boundary cycles of ``d`` off the orbits of its face permutation."""
     base = d.base
     m = len(base)
-    index = {item: i for i, item in enumerate(base)}
-    partner = list(range(m))  # a label is its own partner
-    for x, y in d.arcs:
-        i, j = index[x], index[y]
-        partner[i], partner[j] = j, i
+    partner = _partner(d)
     seen = [False] * m
     cycles: list[list[str]] = []
     for start in range(m):
@@ -171,10 +186,7 @@ def _trace_faces(d: ChordDiagram) -> Surface:
     if not cycles:
         cycles.append([])  # the empty base is one empty boundary cycle
     k = len(d.arcs)
-    twice_genus = k + 1 - len(cycles)
-    if twice_genus < 0 or twice_genus % 2:
-        raise AssertionError(f"{k} arcs and {len(cycles)} faces break the Euler characteristic")
-    out = Surface._of([CyclicWord._of(tuple(c)) for c in cycles], twice_genus // 2)
+    out = Surface._of([CyclicWord._of(tuple(c)) for c in cycles], _genus(k, len(cycles)))
     if out.grade != k:
         raise AssertionError(f"traced surface has grade {out.grade}, expected {k}")
     return out

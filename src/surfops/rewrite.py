@@ -8,7 +8,8 @@ Three moves transform a diagram without changing the surface it evaluates to:
 * boundary: a contiguous segment whose first and last items are matched by
   one arc may be cut out and reinserted after any item outside it.
 * handle: four consecutive tokens a b c d with arcs {a, c} and {b, d} may be
-  cut out as a block and reinserted after any item outside it.
+  cut out as a block and reinserted after any item outside it.  ``_handles``
+  is the one test for such a block, and both ``neighbors`` and ``move_handle`` use it.
 
 ``find_certificate`` searches for a move sequence from one diagram to
 another (same base items up to rotation, identical arcs).
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .diagram import Arc, ChordDiagram, evaluate
+from .diagram import Arc, ChordDiagram, _partner, evaluate
 
 
 @dataclass(frozen=True)
@@ -109,16 +110,12 @@ def move_boundary(d: ChordDiagram, first: str, last: str, after: str | None) -> 
 
 
 def move_handle(d: ChordDiagram, tokens: Sequence[str], after: str | None) -> ChordDiagram:
-    """Relocate a handle block: four consecutive tokens with interleaved arcs."""
+    """Relocate a handle block, as ``_handles`` finds it: four consecutive tokens with interleaved arcs."""
     t = tuple(tokens)
-    if len(t) != 4:
-        raise ValueError("a handle consists of four tokens")
-    seq = d.rotated_to(t[0])
-    if seq[:4] != t:
-        raise ValueError(f"tokens {' '.join(t)} are not consecutive in the base")
-    _require_arc(d, t[0], t[2])
-    _require_arc(d, t[1], t[3])
-    return _reinsert(d, seq[:4], seq[4:], after)
+    for block, outside in _handles(d):
+        if block == t:
+            return _reinsert(d, block, outside, after)
+    raise ValueError(f"tokens {' '.join(map(str, t))} are not a handle block of the diagram")
 
 
 def apply_move(d: ChordDiagram, move: Move) -> ChordDiagram:
@@ -148,13 +145,9 @@ def _handles(d: ChordDiagram) -> Iterator[tuple[tuple[str, str, str, str], tuple
     n = len(base)
     if n < 4:
         return
-    partner = {}
-    for x, y in d.arcs:
-        partner[x], partner[y] = y, x
-    ring = base + base[:3]
+    partner = _partner(d)
     for i in range(n):
-        a, b, c, e = ring[i : i + 4]
-        if partner.get(a) == c and partner.get(b) == e:
+        if partner[i] == (i + 2) % n and partner[(i + 1) % n] == (i + 3) % n:
             seq = base[i:] + base[:i]
             yield seq[:4], seq[4:]
 

@@ -80,6 +80,16 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def is_handle(window: list[str] | tuple[str, ...], arcs: list[tuple[str, str]]) -> bool:
+    """Whether four consecutive base items a b c d are tokens with arcs {a, c} and {b, d}."""
+    partner = {}
+    for x, y in arcs:
+        partner[x] = y
+        partner[y] = x
+    a, b, c, d = window
+    return partner.get(a) == c and partner.get(b) == d
+
+
 def successor_bases(base: list[str], arcs: list[tuple[str, str]]) -> list[list[str]]:
     """Every single-move successor base, one per move, read off the move definitions.
 
@@ -92,10 +102,6 @@ def successor_bases(base: list[str], arcs: list[tuple[str, str]]) -> list[list[s
     """
     n = len(base)
     where = {item: i for i, item in enumerate(base)}
-    partner = {}
-    for x, y in arcs:
-        partner[x] = y
-        partner[y] = x
 
     def run(start, length):
         return [base[(start + t) % n] for t in range(length)]
@@ -132,9 +138,9 @@ def successor_bases(base: list[str], arcs: list[tuple[str, str]]) -> list[list[s
             successors += moved(run(where[first], length), where[first])
     if n >= 4:
         for i in range(n):
-            a, b, c, d = run(i, 4)
-            if partner.get(a) == c and partner.get(b) == d:
-                successors += moved([a, b, c, d], i)
+            window = run(i, 4)
+            if is_handle(window, arcs):
+                successors += moved(window, i)
     return successors
 
 

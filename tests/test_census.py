@@ -1,13 +1,17 @@
 """Generators: exhaustive enumeration counts, determinism, random samplers."""
 
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 from oracles import double_factorial_odd, oracle_distribution
+from surfops import census
 from surfops.census import (
     _face_count,
+    _partner_arrays,
     cycle_decompositions,
     distribution_rows,
     enumerate_cyclic_words,
@@ -17,7 +21,7 @@ from surfops.census import (
     random_diagram,
     random_surface,
 )
-from surfops.diagram import ChordDiagram, evaluate
+from surfops.diagram import ChordDiagram, _genus, _partner, evaluate
 from surfops.surface import Surface
 from surfops.words import CyclicWord, glue, is_glue
 
@@ -55,6 +59,52 @@ def test_enumerate_matchings_counts():
         assert len(enumerate_matchings(n)) == double_factorial_odd(n)
     with pytest.raises(ValueError):
         enumerate_matchings(-1)
+
+
+def test_matchings_are_limited(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the refused list enumerated matchings")
+
+    monkeypatch.setattr(census, "_partner_arrays", refuse)
+    with pytest.raises(ValueError, match=r"^the diagram list of n = 8 chords would enumerate \(2n-1\)!! = 2027025 "
+                                         r"matchings; it is limited to n <= 7$"):
+        enumerate_matchings(8)
+    with pytest.raises(ValueError, match=r"\(2n-1\)!! = more than .* it is limited to n <= 7"):
+        enumerate_matchings(10**6)
+
+
+def test_one_partner_array_convention_for_the_census_and_the_tracer():
+    for n in range(6):
+        base = tuple(glue(k) for k in range(1, 2 * n + 1))
+        for filled in _partner_arrays(2 * n):
+            partner = filled.copy()  # the generator fills one list in place
+            d = ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
+            assert _partner(d) == partner
+            assert _face_count(partner) == evaluate(d).boundary_count
+
+
+_EULER_UNDER_O = """
+from surfops.diagram import _genus
+
+assert False, "asserts must be off"  # stripped by -O
+for arcs, faces in ((2, 2), (1, 4)):
+    try:
+        _genus(arcs, faces)
+    except AssertionError as exc:
+        print("caught:", exc)
+"""
+
+
+def test_euler_step():
+    assert [_genus(0, 1), _genus(2, 3), _genus(2, 1), _genus(5, 2)] == [0, 0, 1, 2]
+    with pytest.raises(AssertionError, match="^2 arcs and 2 faces break the Euler characteristic$"):
+        _genus(2, 2)  # odd 2g
+    with pytest.raises(AssertionError, match="^1 arcs and 4 faces break the Euler characteristic$"):
+        _genus(1, 4)  # negative 2g
+    proc = subprocess.run([sys.executable, "-O", "-c", _EULER_UNDER_O], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["caught: 2 arcs and 2 faces break the Euler characteristic",
+                                        "caught: 1 arcs and 4 faces break the Euler characteristic"]
 
 
 def test_matchings_are_deterministic_and_distinct():

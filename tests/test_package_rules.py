@@ -1,14 +1,17 @@
-"""Source rules for the package: invariants survive ``python -O``, the oracles stay independent,
-and each public name is declared once, in its module's ``__all__``."""
+"""Source rules for the package: invariants survive ``python -O``, the oracles stay independent
+(in both directions), and each public name is declared once, in its module's ``__all__``."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import surfops
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "surfops").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "surfops").glob("*.py"))
 INDEPENDENT = {"oracles", "perfbench"}  # the references the package is checked against
+ORACLES = [ROOT / "tests" / "oracles.py", ROOT / "perfbench" / "oracle.py"]  # read, never edited
 FRONT_ENDS = {"__init__", "__main__", "cli"}  # every other module declares its API in __all__
 
 # The package API, pinned: a name added or dropped here is a listed behaviour change.
@@ -49,6 +52,23 @@ def test_no_imports_of_the_oracles():
     found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
              if INDEPENDENT & {part for dotted in _imported(node) for part in dotted.split(".")}]
     assert found == [], f"the package imports an oracle: {found}"
+
+
+def _top_modules(node: ast.AST) -> list[str]:
+    """The top-level modules an import statement reads from; a relative import reads from ``""``."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["" if node.level else (node.module or "").split(".")[0]]
+    return []
+
+
+def test_the_oracles_import_only_the_standard_library():
+    for path in ORACLES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if any(module not in sys.stdlib_module_names for module in _top_modules(node))]
+        assert found == [], f"an oracle imports beyond the standard library, so it may reach surfops: {found}"
 
 
 def _api_modules():

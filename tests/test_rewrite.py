@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from oracles import successor_bases
-from surfops.census import random_diagram
+from oracles import is_handle, successor_bases
+from surfops.census import enumerate_matchings, random_diagram
 from surfops.diagram import ChordDiagram, evaluate
 from surfops.surface import Surface
 from surfops.rewrite import (
@@ -85,8 +85,40 @@ def test_handle_move_bare_circle():
 
 def test_handle_move_preconditions():
     d = ChordDiagram.parse("[ #1 #2 #3 #4 1 ; (#1 #2) (#3 #4) ]")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tokens #1 #2 #3 #4 are not a handle block of the diagram"):
         move_handle(d, ("#1", "#2", "#3", "#4"), "1")  # arcs not interleaved
+    handle = ChordDiagram.parse("[ #1 #2 #3 #4 1 ; (#1 #3) (#2 #4) ]")
+    wrong = [("#1", "#2", "#3"), ("#1", "#2", "#3", "#4", "1"), ("#1", "#2", "#3", "#9"), ("#3", "#4", "#1", "#2")]
+    for tokens in wrong:
+        with pytest.raises(ValueError, match=" are not a handle block of the diagram"):
+            move_handle(handle, tokens, "1")
+    with pytest.raises(ValueError, match="insertion point '9' is not outside the segment"):
+        move_handle(handle, ("#1", "#2", "#3", "#4"), "9")
+
+
+def test_move_handle_accepts_exactly_the_oracle_handles():
+    rng = random.Random(20261020)
+    diagrams = [random_diagram(rng, max_labels=6, max_arcs=6, ensure_handle=i % 2 == 0) for i in range(300)]
+    diagrams += enumerate_matchings(2)  # bases of exactly four tokens
+    handles = refused = 0
+    for d in diagrams:
+        n = len(d.base)
+        successors = {move: s for move, s in neighbors(d) if isinstance(move, HandleMove)}
+        for i in range(n if n >= 4 else 0):
+            window = tuple(d.base[(i + t) % n] for t in range(4))
+            outside = [d.base[(i + t) % n] for t in range(4, n)]
+            if is_handle(window, d.arcs):
+                handles += 1
+                # after the item just before the block is where it already is
+                assert move_handle(d, window, outside[-1] if outside else None) == d
+                for after in outside[:-1]:
+                    assert move_handle(d, window, after) == successors.pop(HandleMove(window, after))
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match=" are not a handle block of the diagram"):
+                    move_handle(d, window, outside[0] if outside else None)
+        assert successors == {}, d  # every handle move of neighbors was reached from an oracle handle
+    assert handles > 150 and refused > 1000
 
 
 def test_moves_sound_on_random_diagrams():
