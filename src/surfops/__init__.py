@@ -9,8 +9,7 @@ randomized law checkers, and a command line front end.
 Each module's ``__all__`` is its public API; the package re-exports them all.
 """
 
-from . import assoc, canonical, census, diagram, laws, lexer, rewrite, surface, words
-from .assoc import *
+from . import canonical, census, diagram, laws, lexer, rewrite, surface, words
 from .canonical import *
 from .census import *
 from .diagram import *
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     *words.__all__,
     *surface.__all__,
-    *assoc.__all__,
     *diagram.__all__,
     *canonical.__all__,
     *rewrite.__all__,

@@ -19,16 +19,24 @@ from typing import Iterable, Iterator, Sequence
 
 from .diagram import ChordDiagram, _genus
 from .surface import Surface
-from .words import CyclicWord, check_label, glue
+from .words import CyclicWord, _require_count, check_label, glue
 
 
-def cycle_decompositions(labels: Sequence[str]) -> Iterator[tuple[tuple[str, ...], ...]]:
-    """All ways to arrange ``labels`` into disjoint nonempty cyclic orders.
+def _label_set(labels: Iterable[str]) -> list[str]:
+    """The distinct ``labels``, sorted, each checked as a user label."""
+    names = sorted(set(labels))
+    for name in names:
+        check_label(name)
+    return names
+
+
+def cycle_decompositions(labels: Iterable[str]) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """All ways to arrange the distinct ``labels`` into disjoint nonempty cyclic orders.
 
     Arrangements correspond to permutations of the label set (orbit walks
     give the cycles), so each arrangement appears exactly once.
     """
-    base = sorted(labels)
+    base = _label_set(labels)
     for image in permutations(base):
         follower = dict(zip(base, image))
         seen: set[str] = set()
@@ -53,11 +61,8 @@ def enumerate_surfaces(labels: Iterable[str], max_g: int) -> list[Surface]:
     The empty label set contributes the single-empty-cycle family; extra
     empty cycles are never generated here.
     """
-    names = sorted(set(labels))
-    for name in names:
-        check_label(name)
-    if max_g < 0:
-        raise ValueError("max_g must be nonnegative")
+    names = _label_set(labels)
+    _require_count(max_g, "max_g", 0, "max_g must be nonnegative")
     out: list[Surface] = []
     for cycles in cycle_decompositions(names):
         # no labels decompose into no cycles: the surface then has one empty cycle
@@ -76,9 +81,7 @@ def label_subsets(max_labels: int) -> Iterator[tuple[str, ...]]:
 
 def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:
     """All cyclic words over exactly this label set."""
-    names = sorted(set(labels))
-    for name in names:
-        check_label(name)
+    names = _label_set(labels)
     first, rest = tuple(names[:1]), names[1:]  # fix the first label; no labels give the empty word
     return sorted(
         (CyclicWord._of(first + tail) for tail in permutations(rest)),
@@ -91,9 +94,8 @@ _MAX_DIAGRAMS = 7  # enumerate_matchings keeps them all: n = 7 is 135 135, about
 
 
 def _require_chords(n: int, limit: int, what: str) -> None:
-    """Refuse a negative ``n``, and an ``n`` past ``limit``, because (2n-1)!! grows factorially."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Refuse an ``n`` that is not a nonnegative int, and one past ``limit``: (2n-1)!! grows factorially."""
+    _require_count(n, "n", 0, "n must be nonnegative")
     if n > limit:
         count = prod(range(1, 2 * min(n, 50), 2))  # exact up to n = 50, a lower bound past it
         size = count if n <= 50 else f"more than {count:.1e}"
@@ -209,20 +211,15 @@ def random_diagram(
     n_arcs = rng.randint(lo, max(lo, max_arcs))
     tokens = [glue(k) for k in range(1, 2 * n_arcs + 1)]
     rng.shuffle(tokens)
-    arcs: list[tuple[str, str]] = []
-    if ensure_handle:
-        block = tokens[:4]
-        rest = tokens[4:]
-        arcs += [(block[0], block[2]), (block[1], block[3])]
-        arcs += [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-        base = labels + rest
-        rng.shuffle(base)
+    block = tokens[:4] if ensure_handle else []  # the handle block: two interleaved arcs
+    rest = tokens[len(block) :]
+    arcs = [(block[0], block[2]), (block[1], block[3])] if block else []
+    arcs += [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
+    base = labels + rest
+    rng.shuffle(base)
+    if block:
         at = rng.randint(0, len(base))
         base[at:at] = block
-    else:
-        arcs += [(tokens[i], tokens[i + 1]) for i in range(0, len(tokens), 2)]
-        base = labels + tokens
-        rng.shuffle(base)
     return ChordDiagram(base, arcs)
 
 

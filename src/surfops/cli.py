@@ -97,10 +97,13 @@ def _seed(text: str) -> int:
     return -value if text.startswith("-") else value
 
 
-def cmd_eval(args) -> int:
-    q = evaluate(_parse_diagram(args.diagram))
-    print(q.json() if args.json else str(q))
+def _print_surface(q: Surface, as_json: bool) -> int:
+    print(q.json() if as_json else str(q))
     return 0
+
+
+def cmd_eval(args) -> int:
+    return _print_surface(evaluate(_parse_diagram(args.diagram)), args.json)
 
 
 def cmd_canon(args) -> int:
@@ -118,25 +121,15 @@ def cmd_canon(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    q1 = _parse_surface(args.left)
-    q2 = _parse_surface(args.right)
-    out = compose(q1, args.a, q2, args.b)
-    print(out.json() if args.json else str(out))
-    return 0
+    return _print_surface(compose(_parse_surface(args.left), args.a, _parse_surface(args.right), args.b), args.json)
 
 
 def cmd_glue(args) -> int:
-    q = _parse_surface(args.surface)
-    out = self_glue(q, args.a, args.b)
-    print(out.json() if args.json else str(out))
-    return 0
+    return _print_surface(self_glue(_parse_surface(args.surface), args.a, args.b), args.json)
 
 
 def cmd_rename(args) -> int:
-    q = _parse_surface(args.surface)
-    out = q.rename(_parse_renaming(args.map))
-    print(out.json() if args.json else str(out))
-    return 0
+    return _print_surface(_parse_surface(args.surface).rename(_parse_renaming(args.map)), args.json)
 
 
 def cmd_equal(args) -> int:

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .assoc import to_surface
 from .lexer import TokenStream, _ItemError
-from .surface import Surface, _require_kept, self_glue
+from .surface import Surface, _require_kept, self_glue, to_surface
 from .words import CyclicWord, _check_items, _items, _least_first, _Value, is_glue
 
 Arc = tuple[str, str]

@@ -26,11 +26,10 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from . import census
-from .assoc import splice, to_surface
 from .canonical import all_canonical_diagrams, canonical_diagram
 from .diagram import ChordDiagram, _fold
-from .surface import Surface, compose, self_glue
-from .words import CyclicWord, Renaming
+from .surface import Surface, compose, self_glue, to_surface
+from .words import CyclicWord, Renaming, splice
 
 
 class Target(ABC):
@@ -304,21 +303,6 @@ def _fresh_names(n: int, avoid: frozenset[str], tag: str) -> list[str]:
     return [name for name in names if name not in avoid][:n]
 
 
-def _renamings_for(labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
-    """Bijections from ``labels`` onto itself (unless ``fresh_only``), then onto fresh names."""
-    src = sorted(labels)
-    fresh = permutations(_fresh_names(len(src), avoid | labels, tag))
-    images = fresh if fresh_only else chain(permutations(src), fresh)
-    return (Renaming._of(tuple(zip(src, image))) for image in images)
-
-
-def _random_renaming(rng: random.Random, labels: frozenset[str], avoid: frozenset[str], tag: str) -> Renaming:
-    src = sorted(labels)
-    image = list(src) if rng.random() < 0.5 else _fresh_names(len(src), avoid | labels, tag)
-    rng.shuffle(image)
-    return Renaming._of(tuple(zip(src, image)))
-
-
 class _AllChoices:
     """Every option at each choice point, over a fixed pool of elements."""
 
@@ -358,8 +342,12 @@ class _AllChoices:
         return (permutations if ordered else combinations)(sorted(self.labels_of(x) - excluded), 2)
 
     def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
+        """Bijections from ``labels`` onto itself (unless ``fresh_only``), then onto fresh names."""
         # fresh names avoid every label of the pool, not just the instance's
-        return _renamings_for(labels, self.all_labels | avoid, tag, fresh_only)
+        src = sorted(labels)
+        fresh = permutations(_fresh_names(len(src), self.all_labels | avoid | labels, tag))
+        images = fresh if fresh_only else chain(permutations(src), fresh)
+        return (Renaming._of(tuple(zip(src, image))) for image in images)
 
     def branch(self, p: float):
         return (True, False)
@@ -390,7 +378,10 @@ class _RandomChoices:
         return [tuple(self.rng.sample(sorted(self.labels_of(x) - excluded), 2))]
 
     def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
-        return [_random_renaming(self.rng, labels, avoid, tag)]
+        src = sorted(labels)
+        image = list(src) if self.rng.random() < 0.5 else _fresh_names(len(src), avoid | labels, tag)
+        self.rng.shuffle(image)
+        return [Renaming._of(tuple(zip(src, image)))]
 
     def branch(self, p: float):
         return [self.rng.random() < p]

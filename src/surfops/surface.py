@@ -8,6 +8,9 @@ canonical forms.
 
 The grade of a surface with b cycles and genus g is G = 2g + b - 1.
 ``compose`` adds grades, ``self_glue`` raises the grade by exactly one.
+Both are one boundary surgery, ``_reconnect``: cut the boundary at two
+marked points and reconnect the ends.  ``to_surface`` embeds a cyclic word
+as the one-cycle genus-zero surface, the inclusion of Ass into its envelope.
 
 ``Surface(...)`` checks cycles and genus, and ``parse`` and ``from_json`` go
 through it.  The operations skip that check on their derived results and
@@ -110,6 +113,25 @@ class Surface(_Value):
         return ts.build(lambda: cls([[tok.text for tok in c] for c in cycles], genus), toks)
 
 
+def to_surface(w: CyclicWord) -> Surface:
+    """Embed a cyclic word as the one-cycle genus-zero surface."""
+    return Surface._of((w,), 0)
+
+
+def _reconnect(cycles: Iterable[CyclicWord], ca: CyclicWord, a: str, cb: CyclicWord, b: str) -> list[CyclicWord]:
+    """Cut the boundary at a on ``ca`` and at b on ``cb``, and reconnect the ends; the other ``cycles`` stay.
+
+    (a A b B) splits into (B) and (A); (a A) and (b B) join into (A B).  ``ca`` and ``cb`` hold labels, so
+    dropping them by identity cannot drop an equal empty cycle.
+    """
+    rest = [w for w in cycles if w is not ca and w is not cb]
+    seq = ca.rotated_to(a)
+    if ca is cb:
+        j = seq.index(b)
+        return rest + [CyclicWord._of(seq[j + 1 :]), CyclicWord._of(seq[1:j])]
+    return rest + [CyclicWord._of(seq[1:] + cb.rotated_to(b)[1:])]
+
+
 def compose(q1: Surface, a: str, q2: Surface, b: str) -> Surface:
     """Glue two surfaces along marked points a of q1 and b of q2.
 
@@ -121,12 +143,7 @@ def compose(q1: Surface, a: str, q2: Surface, b: str) -> Surface:
         raise ValueError(f"surfaces share labels {shared}")
     ca = q1.cycle_containing(a)
     cb = q2.cycle_containing(b)
-    spliced = CyclicWord._of(ca.rotated_to(a)[1:] + cb.rotated_to(b)[1:])
-    rest1 = list(q1.cycles)
-    rest1.remove(ca)
-    rest2 = list(q2.cycles)
-    rest2.remove(cb)
-    out = Surface._of(rest1 + rest2 + [spliced], q1.genus + q2.genus)
+    out = Surface._of(_reconnect(q1.cycles + q2.cycles, ca, a, cb, b), q1.genus + q2.genus)
     _require_kept("compose", out, q1.grade + q2.grade, len(q1.labels) + len(q2.labels) - 2)
     return out
 
@@ -136,23 +153,14 @@ def self_glue(q: Surface, a: str, b: str) -> Surface:
 
     If a and b lie on one cycle (a A b B), that cycle splits into the two
     cycles (B) and (A) and the genus is unchanged.  If they lie on distinct
-    cycles (a A) and (b B), the cycles merge into (B A) and the genus grows
+    cycles (a A) and (b B), the cycles merge into (A B) and the genus grows
     by one.  Either way the grade rises by exactly one.
     """
     if a == b:
         raise ValueError("self-gluing needs two distinct marked points")
     ca = q.cycle_containing(a)
-    rest = list(q.cycles)
-    rest.remove(ca)
-    if b in ca:
-        seq = ca.rotated_to(a)
-        j = seq.index(b)
-        out = Surface._of(rest + [CyclicWord._of(seq[j + 1 :]), CyclicWord._of(seq[1:j])], q.genus)
-    else:
-        cb = q.cycle_containing(b)
-        rest.remove(cb)
-        merged = CyclicWord._of(cb.rotated_to(b)[1:] + ca.rotated_to(a)[1:])
-        out = Surface._of(rest + [merged], q.genus + 1)
+    cb = q.cycle_containing(b)
+    out = Surface._of(_reconnect(q.cycles, ca, a, cb, b), q.genus if ca is cb else q.genus + 1)
     _require_kept("self_glue", out, q.grade + 1, len(q.labels) - 2)
     return out
 
@@ -164,4 +172,4 @@ def _require_kept(op: str, out: Surface, grade: int, label_count: int) -> None:
                              f"expected grade {grade} and {label_count} labels")
 
 
-__all__ = ["Surface", "compose", "self_glue"]
+__all__ = ["Surface", "compose", "self_glue", "to_surface"]

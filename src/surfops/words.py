@@ -1,4 +1,4 @@
-"""Labels, renamings, and cyclic words.
+"""Labels, renamings, and cyclic words, with ``splice``, the composition of the cyclic operad Ass.
 
 A cyclic word is a finite sequence of pairwise distinct labels considered up
 to rotation.  Words are stored in their canonical rotation (the
@@ -33,9 +33,16 @@ def is_glue(item: str) -> bool:
 
 
 def glue(k: int) -> str:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"glue token ids are positive integers, got {k!r}")
+    _require_count(k, "a glue token id", 1, "glue token ids are positive integers, got {!r}")
     return f"#{k}"
+
+
+def _require_count(value: object, name: str, least: int, below: str) -> None:
+    """A ValueError for a count that is not an ``int`` (or is a ``bool``), or is below ``least`` (text ``below``)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(below.format(value))
 
 
 def check_label(name: str) -> str:
@@ -220,6 +227,17 @@ class CyclicWord(_Value):
         return ts.build(lambda: cls(tok.text for tok in toks), toks)
 
 
+def splice(x: CyclicWord, a: str, y: CyclicWord, b: str) -> CyclicWord:
+    """Compose two cyclic words by cutting at a and b: (a P) . (b Q) = (P Q).
+
+    ``surface._reconnect`` writes this join again on purpose: ``splice_compatibility`` compares the two.
+    """
+    if x.labels & y.labels:
+        shared = sorted(x.labels & y.labels)
+        raise ValueError(f"words share labels {shared}")
+    return CyclicWord._of(x.rotated_to(a)[1:] + y.rotated_to(b)[1:])
+
+
 def parse_word_items(ts: TokenStream) -> list[Token]:
     """Parse a parenthesized label list ``( label* )`` from the stream; the label tokens."""
     ts.expect("(")
@@ -236,4 +254,4 @@ def parse_word_items(ts: TokenStream) -> list[Token]:
         toks.append(ts.advance())
 
 
-__all__ = ["CyclicWord", "Renaming", "glue", "is_glue"]
+__all__ = ["CyclicWord", "Renaming", "glue", "is_glue", "splice"]

@@ -144,6 +144,64 @@ def successor_bases(base: list[str], arcs: list[tuple[str, str]]) -> list[list[s
     return successors
 
 
+def canonical_surface(cycles, genus: int) -> tuple[tuple[tuple[str, ...], ...], int]:
+    """A surface as (cycles, genus), each cycle at its least rotation among all of them, the cycles sorted."""
+    least = [min(c[i:] + c[:i] for i in range(len(c))) if c else () for c in map(tuple, cycles)]
+    return tuple(sorted(least)), genus
+
+
+def _reconnected(cycles, a: str, b: str) -> list[tuple[str, ...]]:
+    """The boundary after gluing the marked points a and b, traced segment by segment.
+
+    The segment that starts at label x runs to the label after x.  Gluing
+    sends the walk that reaches a on from b's segment, and the walk that
+    reaches b on from a's.  Each orbit of segments is one boundary cycle,
+    which reads the starts of its segments other than a and b; empty cycles
+    are not touched.
+    """
+    after = {}
+    for c in cycles:
+        for i, x in enumerate(c):
+            after[x] = c[(i + 1) % len(c)]
+    swap = {a: b, b: a}
+    out = [() for c in cycles if not c]
+    seen = set()
+    for start in after:
+        if start in seen:
+            continue
+        word = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            if x not in swap:
+                word.append(x)
+            x = swap.get(after[x], after[x])
+        out.append(tuple(word))
+    return out
+
+
+def _genus_from_euler(euler: int, boundaries: int) -> int:
+    """The genus of a connected surface: euler = 2 - 2g - b."""
+    twice = 2 - euler - boundaries
+    assert twice >= 0 and twice % 2 == 0, (euler, boundaries)
+    return twice // 2
+
+
+def compose_reference(left, a: str, right, b: str):
+    """Glue (cycles, genus) pairs along a of ``left`` and b of ``right``: a band joins them, so euler drops by one."""
+    (c1, g1), (c2, g2) = left, right
+    cycles = _reconnected(list(c1) + list(c2), a, b)
+    euler = (2 - 2 * g1 - len(c1)) + (2 - 2 * g2 - len(c2)) - 1
+    return canonical_surface(cycles, _genus_from_euler(euler, len(cycles)))
+
+
+def self_glue_reference(surface, a: str, b: str):
+    """Glue the marked points a and b of one (cycles, genus) pair with a band."""
+    cycles, genus = surface
+    glued = _reconnected(cycles, a, b)
+    return canonical_surface(glued, _genus_from_euler(2 - 2 * genus - len(cycles) - 1, len(glued)))
+
+
 def tokenize_reference(text: str) -> list[tuple[str, str, int]]:
     """The lexer as a character loop: a list of (kind, text, pos), or ValueError(reason, pos).
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surfops.assoc import splice, to_surface
+from surfops import splice, to_surface
 from surfops.surface import Surface, compose
 from surfops.words import CyclicWord
 

@@ -1,6 +1,7 @@
 """Generators: exhaustive enumeration counts, determinism, random samplers."""
 
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -46,6 +47,44 @@ def test_cycle_decompositions():
     assert (("x", "y"),) in decomps
     assert (("x",), ("y",)) in decomps
     assert list(cycle_decompositions([])) == [()]  # one arrangement: no cycles
+
+
+def test_cycle_decompositions_order_is_pinned():
+    assert list(cycle_decompositions(["c", "a", "b"])) == [
+        (("a",), ("b",), ("c",)), (("a",), ("b", "c")), (("a", "b"), ("c",)),
+        (("a", "b", "c"),), (("a", "c", "b"),), (("a", "c"), ("b",)),
+    ]
+
+
+def test_enumerators_share_one_label_set():
+    # a repeated label is one label, as enumerate_surfaces already read it
+    assert list(cycle_decompositions(["a", "a"])) == [(("a",),)]
+    assert enumerate_surfaces(["a", "a"], 0) == [Surface([("a",)], 0)]
+    assert enumerate_cyclic_words(["b", "a", "b"]) == [CyclicWord(("a", "b"))]
+    for enumerate_labels in (cycle_decompositions, enumerate_cyclic_words, lambda ls: enumerate_surfaces(ls, 0)):
+        with pytest.raises(ValueError, match="contains whitespace"):
+            list(enumerate_labels(["a b"]))
+        with pytest.raises(ValueError, match="reserved character"):
+            list(enumerate_labels(["a", "#1"]))
+
+
+@pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
+def test_count_arguments_refuse_non_integers(count):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(count))}$"):
+        genus_distribution(count)
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(count))}$"):
+        enumerate_matchings(count)
+    with pytest.raises(ValueError, match=f"^max_g must be an integer, got {re.escape(repr(count))}$"):
+        enumerate_surfaces(["a"], count)
+
+
+def test_negative_counts_keep_their_texts():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        genus_distribution(-1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        enumerate_matchings(-2)
+    with pytest.raises(ValueError, match="^max_g must be nonnegative$"):
+        enumerate_surfaces(["a"], -1)
 
 
 def test_enumerate_cyclic_words():

@@ -1,8 +1,10 @@
 """Source rules for the package: invariants survive ``python -O``, the oracles stay independent
-(in both directions), and each public name is declared once, in its module's ``__all__``."""
+(in both directions), each public name is declared once, in its module's ``__all__``, and the
+sources parse on the oldest Python that ``pyproject.toml`` admits."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -107,3 +109,13 @@ def test_package_all_joins_the_module_lists():
     (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
     assert [ast.literal_eval(elt) for elt in value.elts if not isinstance(elt, ast.Starred)] == ["__version__"]
+
+
+def test_sources_parse_on_the_declared_python_floor():
+    # a regex, not tomllib, so that the rule itself runs on the floor version
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor, "pyproject.toml declares no plain requires-python floor"
+    assert len(SOURCES) > 5, "package sources not found"
+    for path in [*SOURCES, ROOT / "tests" / "oracles.py"]:
+        # a SyntaxError names the file and the construct the floor version lacks
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(floor.group(1))))

@@ -1,9 +1,14 @@
 """Surfaces: canonical form, grade arithmetic, the three operations."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import canonical_surface, compose_reference, self_glue_reference
+from surfops.census import random_surface
 from surfops.lexer import ParseError
 from surfops.surface import Surface, compose, self_glue
 from surfops.words import CyclicWord, Renaming
@@ -205,3 +210,25 @@ def test_labels_are_cached_with_the_value():
     q = Surface([("a", "b"), ("c",)], 1)
     assert q.labels is q.labels == frozenset("abc")
     assert "labels" not in repr(q) and q == Surface([("c",), ("b", "a")], 1)
+
+
+def _pair(q: Surface):
+    return [w.items for w in q.cycles], q.genus
+
+
+def test_gluings_agree_with_the_oracle():
+    """compose and self_glue against a segment-tracing reference that reads the genus off the Euler characteristic."""
+    rng = random.Random(1312)
+    branches = Counter()
+    for _ in range(3000):
+        q1 = random_surface(rng, rng.sample("abcde", rng.randint(1, 5)), 2, max_extra_empty=2)
+        q2 = random_surface(rng, rng.sample("pqrst", rng.randint(1, 5)), 2, max_extra_empty=2)
+        a, b = rng.choice(sorted(q1.labels)), rng.choice(sorted(q2.labels))
+        assert canonical_surface(*_pair(compose(q1, a, q2, b))) == compose_reference(_pair(q1), a, _pair(q2), b)
+        for q in (q1, q2):
+            if len(q.labels) < 2:
+                continue
+            a, b = rng.sample(sorted(q.labels), 2)
+            branches["split" if b in q.cycle_containing(a) else "merge"] += 1
+            assert canonical_surface(*_pair(self_glue(q, a, b))) == self_glue_reference(_pair(q), a, b)
+    assert branches["split"] > 500 and branches["merge"] > 500, branches

@@ -1,5 +1,7 @@
 """Cyclic words, canonical rotation, and renamings."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +63,19 @@ def test_glue_tokens():
     assert not is_glue("#01")
     assert not is_glue("x")
     assert CyclicWord(("a", "#1")).items  # tokens are valid word items
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "3", None])
+def test_glue_refuses_non_integers(k):
+    # a bool is an int to Python, but glue(True) would be the token '#True', which is no glue token
+    with pytest.raises(ValueError, match=f"^a glue token id must be an integer, got {re.escape(repr(k))}$"):
+        glue(k)
+
+
+def test_glue_refuses_nonpositive_ids():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"^glue token ids are positive integers, got {k}$"):
+            glue(k)
 
 
 def test_word_parse_and_str():
