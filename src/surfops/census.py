@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -74,9 +74,9 @@ def enumerate_surfaces(labels: Iterable[str], max_g: int) -> list[Surface]:
 
 def label_subsets(max_labels: int) -> Iterator[tuple[str, ...]]:
     """Every subset of the labels "1" .. ``max_labels``, smallest first, in combinations order."""
+    _require_count(max_labels, "max_labels", 0, "max_labels must be nonnegative")
     universe = [str(i + 1) for i in range(max_labels)]
-    for size in range(len(universe) + 1):
-        yield from combinations(universe, size)
+    return chain.from_iterable(combinations(universe, size) for size in range(max_labels + 1))
 
 
 def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:

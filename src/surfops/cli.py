@@ -21,6 +21,7 @@ from .canonical import all_canonical_diagrams, canonical_diagram
 from .census import distribution_rows, enumerate_surfaces, genus_distribution, label_subsets
 from .diagram import ChordDiagram, evaluate, render_dot
 from .laws import (
+    LawReport,
     SurfaceTarget,
     TerminalElement,
     TerminalTarget,
@@ -102,6 +103,11 @@ def _print_surface(q: Surface, as_json: bool) -> int:
     return 0
 
 
+def _print_report(report: LawReport, as_json: bool) -> int:
+    print(json.dumps(report.to_json(), indent=2) if as_json else str(report))
+    return 0 if report.passed else 3
+
+
 def cmd_eval(args) -> int:
     return _print_surface(evaluate(_parse_diagram(args.diagram)), args.json)
 
@@ -174,14 +180,11 @@ def cmd_check_axioms(args) -> int:
     report = check_axioms(target, elements, budget=args.budget)
     if args.random:
         check_axioms_random(target, sampler, args.random, random.Random(args.seed), report=report)
-    print(json.dumps(report.to_json(), indent=2) if args.json else str(report))
-    return 0 if report.passed else 3
+    return _print_report(report, args.json)
 
 
 def cmd_check_envelope(args) -> int:
-    report = check_universal_property(args.max_labels, args.max_g, budget=args.budget)
-    print(json.dumps(report.to_json(), indent=2) if args.json else str(report))
-    return 0 if report.passed else 3
+    return _print_report(check_universal_property(args.max_labels, args.max_g, budget=args.budget), args.json)
 
 
 def cmd_hz_table(args) -> int:
@@ -198,8 +201,7 @@ def cmd_hz_table(args) -> int:
 
 
 def cmd_render(args) -> int:
-    d = _parse_diagram(args.diagram)
-    print(render_dot(d))
+    print(render_dot(_parse_diagram(args.diagram)))
     return 0
 
 

@@ -10,9 +10,8 @@ band per arc, a one-vertex ribbon graph.  ``_partner`` reads it as one array
 over base positions (the moves' handle test reads it too, and the census's
 matchings share its convention).  The faces are the orbits of
 ``p -> partner[p] + 1``, and ``_genus`` is the one Euler step, here and in the
-census.  ``_fold`` is the one arc fold: include the base word, then contract
-each arc in turn; ``evaluate(d, order=...)`` folds ``self_glue``, the tracer's
-reference, and the law harness folds a target's ``contract``.
+census.  The arc fold itself (include the base word, then contract each arc
+in turn) is ``laws.evaluate_expression``.
 
 ``ChordDiagram(...)`` checks base and arcs, and ``parse`` goes through it.
 Diagrams derived from valid ones (moves, layouts, matchings) skip the check.
@@ -21,14 +20,13 @@ Diagrams derived from valid ones (moves, layouts, matchings) skip the check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .lexer import TokenStream, _ItemError
-from .surface import Surface, _require_kept, self_glue, to_surface
+from .surface import Surface
 from .words import CyclicWord, _check_items, _items, _least_first, _Value, is_glue
 
 Arc = tuple[str, str]
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, init=False)
@@ -75,13 +73,6 @@ class ChordDiagram(_Value):
     def user_labels(self) -> frozenset[str]:
         return frozenset(item for item in self.base if not is_glue(item))
 
-    def rotated_to(self, item: str) -> tuple[str, ...]:
-        try:
-            i = self.base.index(item)
-        except ValueError:
-            raise ValueError(f"item {item!r} does not occur in {self}") from None
-        return self.base[i:] + self.base[:i]
-
     def rename_tokens(self, mapping: Mapping[str, str]) -> "ChordDiagram":
         """Apply a bijective relabeling of the glue tokens; arcs follow."""
         if set(mapping) != set(self.tokens):
@@ -119,33 +110,6 @@ class ChordDiagram(_Value):
         return ts.build(lambda: cls([tok.text for tok in base], arcs), base + ends)
 
 
-def evaluate(d: ChordDiagram, order: Sequence[Arc] | None = None) -> Surface:
-    """The surface denoted by a diagram.
-
-    By default the boundary cycles are traced as faces in one pass over the
-    base.  With ``order`` the base disc is self-glued once per arc in that
-    order instead; this fold is the reference the tracer is checked against,
-    and the result is order-independent, which the test suite checks.
-    """
-    if order is None:
-        return _trace_faces(d)
-    out = _fold(d, to_surface, self_glue, order)
-    _require_kept("the fold", out, len(d.arcs), len(d.base) - 2 * len(d.arcs))
-    return out
-
-
-def _fold(d: ChordDiagram, include: Callable[[CyclicWord], _T], contract: Callable[[_T, str, str], _T],
-          order: Sequence[Arc] | None = None) -> _T:
-    """``include`` of the base word, contracted along each arc in ``order`` (default: the stored one)."""
-    arcs = d.arcs if order is None else tuple(order)
-    if order is not None and sorted(map(sorted, arcs)) != sorted(map(sorted, d.arcs)):
-        raise ValueError("order must list exactly the diagram arcs")
-    value = include(CyclicWord._of(d.base))
-    for x, y in arcs:
-        value = contract(value, x, y)
-    return value
-
-
 def _partner(d: ChordDiagram) -> list[int]:
     """``partner[p]``: the position an arc matches to ``p``, or ``p`` for a label (as ``census._partner_arrays``)."""
     index = {item: i for i, item in enumerate(d.base)}
@@ -164,8 +128,11 @@ def _genus(arcs: int, faces: int) -> int:
     return twice_genus // 2
 
 
-def _trace_faces(d: ChordDiagram) -> Surface:
-    """Read the boundary cycles of ``d`` off the orbits of its face permutation."""
+def evaluate(d: ChordDiagram) -> Surface:
+    """The surface ``d`` denotes, its boundary cycles read off the orbits of its face permutation.
+
+    It equals the ``self_glue`` fold in every arc order, which the tests check.
+    """
     base = d.base
     m = len(base)
     partner = _partner(d)

@@ -4,8 +4,9 @@ A target writes three operations (renaming, end-to-end composition, and
 same-element contraction) with the usual label and grade bookkeeping, and may
 override how a value's labels and grade are read.  The checkers run named
 instance families against a target and report per-family counts with the
-first counterexample kept verbatim.  ``evaluate_expression`` extends an
-inclusion of words to any diagram with ``diagram``'s one arc fold.
+first counterexample kept verbatim.  ``evaluate_expression`` is the one arc
+fold, extending an inclusion of words to any diagram; ``diagram.evaluate``
+traces faces instead, and the tests check it against this fold.
 
 Each law is written once, as its parameter names and a function giving both
 sides.  Each axiom family has one instance generator, written as nested loops
@@ -27,9 +28,9 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import census
 from .canonical import all_canonical_diagrams, canonical_diagram
-from .diagram import ChordDiagram, _fold
+from .diagram import ChordDiagram
 from .surface import Surface, compose, self_glue, to_surface
-from .words import CyclicWord, Renaming, splice
+from .words import CyclicWord, Renaming, _require_count, splice
 
 
 class Target(ABC):
@@ -114,16 +115,16 @@ class TerminalTarget(Target):
         return TerminalElement(x.labels - {a, b}, x.grade + 1)
 
 
-surface_inclusion = to_surface
-
-
 def terminal_inclusion(word: CyclicWord) -> TerminalElement:
     return TerminalElement(frozenset(word.labels), 0)
 
 
 def evaluate_expression(target: Target, include: Callable[[CyclicWord], object], d: ChordDiagram) -> object:
     """Contract the included base word of ``d`` along its arcs, in stored order."""
-    return _fold(d, include, target.contract)
+    value = include(CyclicWord._of(d.base))
+    for x, y in d.arcs:
+        value = target.contract(value, x, y)
+    return value
 
 
 def induce(target: Target, include: Callable[[CyclicWord], object], q: Surface) -> object:
@@ -274,6 +275,8 @@ class _Session:
 
     def run(self, family: str, instances: Iterable[tuple[_Law, tuple]], budget: int | None = None) -> None:
         """Check the first ``budget`` (all, if None) ``(law, args)`` instances of ``family``."""
+        if budget is not None:
+            _require_count(budget, "budget", 0, "budget must be nonnegative")
         fam = self.report.family(family)
         for law, args in islice(instances, budget):
             fam.checked += 1
@@ -556,6 +559,7 @@ def check_axioms_random(
     ``sampler(rng, avoid, min_labels)`` must return an element whose labels
     avoid the given set.  Results accumulate into ``report`` when passed.
     """
+    _require_count(count, "count", 0, "count must be nonnegative")
     if report is None:
         report = LawReport(f"randomized axiom check against target '{target.name}'",
                            {name: FamilyResult() for name in AXIOM_FAMILIES})
@@ -636,7 +640,6 @@ def check_modular_morphism(
 class AgreementReport:
     """Whether every expression presenting one surface evaluates alike; ``values`` are the distinct ones."""
 
-    subject: str
     expressions: int
     values: tuple
 
@@ -648,21 +651,6 @@ class AgreementReport:
     def value(self) -> object | None:
         return self.values[0] if self.agreed else None
 
-    def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "expressions": self.expressions,
-            "agreed": self.agreed,
-            "values": list(map(str, self.values)),
-        }
-
-    def __str__(self) -> str:
-        verdict = "agree" if self.agreed else "DISAGREE"
-        return (
-            f"{self.subject}: {self.expressions} expressions {verdict}"
-            + (f" on {self.values[0]}" if self.agreed else f": {', '.join(map(str, self.values))}")
-        )
-
 
 def check_well_definedness(target: Target, include: Callable[[CyclicWord], object], q: Surface) -> AgreementReport:
     """Evaluate every canonical expression for ``q`` and compare the values."""
@@ -672,7 +660,7 @@ def check_well_definedness(target: Target, include: Callable[[CyclicWord], objec
         value = evaluate_expression(target, include, expr.diagram)
         if value not in seen:
             seen.append(value)
-    return AgreementReport(subject=str(q), expressions=len(exprs), values=tuple(seen))
+    return AgreementReport(expressions=len(exprs), values=tuple(seen))
 
 
 def check_universal_property(max_labels: int = 3, max_g: int = 1, budget: int | None = None) -> LawReport:
@@ -691,13 +679,13 @@ def check_universal_property(max_labels: int = 3, max_g: int = 1, budget: int | 
         f"universal-property check over {len(surfaces)} surfaces "
         f"(labels <= {max_labels}, genus <= {max_g})"
     )
-    for target, include in ((SurfaceTarget(), surface_inclusion), (TerminalTarget(), terminal_inclusion)):
+    for target, include in ((SurfaceTarget(), to_surface), (TerminalTarget(), terminal_inclusion)):
         agreed = _Law("q", lambda s, q: itemgetter(0, -1)(check_well_definedness(s.t, include, q).values))
         _Session(target, report).run(f"{target.name}.well_definedness", ((agreed, (q,)) for q in surfaces), budget)
         report.absorb(check_cyclic_morphism(target, include, words, budget), f"{target.name}.")
         report.absorb(check_modular_morphism(target, include, surfaces, budget), f"{target.name}.")
 
-    identity = _Law("q", lambda s, q: (induce(s.t, surface_inclusion, q), q))
+    identity = _Law("q", lambda s, q: (induce(s.t, to_surface, q), q))
     _Session(SurfaceTarget(), report).run("surfaces.identity", ((identity, (q,)) for q in surfaces), budget)
     signature = _Law("q", lambda s, q: (induce(s.t, terminal_inclusion, q), TerminalElement(q.labels, q.grade)))
     _Session(TerminalTarget(), report).run(
@@ -711,7 +699,6 @@ __all__ = [
     "SurfaceTarget",
     "TerminalTarget",
     "TerminalElement",
-    "surface_inclusion",
     "terminal_inclusion",
     "evaluate_expression",
     "induce",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .diagram import Arc, ChordDiagram, _partner, evaluate
+from .words import _require_count
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,7 @@ def find_certificate(d1: ChordDiagram, d2: ChordDiagram, max_depth: int = 4) -> 
     at once otherwise.  When they agree the search is a breadth-first walk
     with the frontier ordered by diagram text.
     """
+    _require_count(max_depth, "max_depth", 0, "max_depth must be nonnegative")
     if d1 == d2:
         return []
     if sorted(d1.base) != sorted(d2.base) or d1.arcs != d2.arcs or evaluate(d1) != evaluate(d2):

@@ -165,9 +165,6 @@ class Renaming(_Value):
             raise ValueError("cannot restrict a renaming beyond its domain")
         return Renaming._of([(s, t) for s, t in self.pairs if s in keep])
 
-    def inverse(self) -> "Renaming":
-        return Renaming._of([(t, s) for s, t in self.pairs])
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{s}->{t}" for s, t in self.pairs) + "}"
 

@@ -19,6 +19,7 @@ from surfops.census import (
     enumerate_matchings,
     enumerate_surfaces,
     genus_distribution,
+    label_subsets,
     random_diagram,
     random_surface,
 )
@@ -265,3 +266,17 @@ def test_seeded_reproducibility():
     qa = random_surface(random.Random(42), ["x", "y"], 3, 1)
     qb = random_surface(random.Random(42), ["x", "y"], 3, 1)
     assert qa == qb
+
+
+@pytest.mark.parametrize("count", [True, 2.5, "3"])
+def test_label_subsets_refuses_non_integers(count):
+    with pytest.raises(ValueError, match=f"^max_labels must be an integer, got {re.escape(repr(count))}$"):
+        label_subsets(count)
+
+
+def test_label_subsets_refuses_a_negative_count():
+    # it yielded the empty set alone, so the envelope check over it reported PASS
+    with pytest.raises(ValueError, match="^max_labels must be nonnegative$"):
+        label_subsets(-1)
+    assert list(label_subsets(0)) == [()]
+    assert list(label_subsets(2)) == [(), ("1",), ("2",), ("1", "2")]

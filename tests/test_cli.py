@@ -342,3 +342,21 @@ def test_repeated_calls_match_a_fresh_parser():
     assert fresh[TABLE.index(["--help"])][0] == "SystemExit(0)"
     assert json.loads(fresh[TABLE.index(["check-axioms", "--json"])][1])["passed"] is True
     assert fresh[TABLE.index(["check-axioms"])][1].endswith("-> PASS (5 of 9 families vacuous)\n")
+
+
+@pytest.mark.parametrize("mapping, err", [
+    ("a x, b", "renaming needs an even list: old new, old new, ..."),
+    ("", "renaming must not be empty"),
+])
+def test_rename_list_shape_is_a_parse_error(capsys, mapping, err):
+    assert run(capsys, "rename", "{ ( a b ) }^0", mapping) == (1, "", f"parse error: line 1, col 1: {err}\n")
+
+
+def test_certificate_for_two_layouts_of_one_diagram(capsys):
+    argv = ["equal", "--certificate", "[ a #1 b #2 ; (#1 #2) ]", "[ b #2 a #1 ; (#2 #1) ]"]
+    assert run(capsys, *argv) == (0, "equivalent (diagrams are identical)\n", "")
+
+
+def test_certificate_search_with_no_successors(capsys):
+    argv = ["equal", "--certificate", "[ #1 #2 a ; (#1 #2) ]", "[ #1 a #2 ; (#1 #2) ]"]
+    assert run(capsys, *argv) == (0, "equivalent (no certificate found within depth 4)\n", "")

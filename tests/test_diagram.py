@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from oracles import genus_boundary_of_matching
 from surfops.census import enumerate_matchings, random_diagram
 from surfops.diagram import ChordDiagram, evaluate, render_dot
+from surfops.laws import SurfaceTarget, evaluate_expression
 from surfops.lexer import ParseError
-from surfops.surface import Surface
+from surfops.surface import Surface, self_glue, to_surface
+from surfops.words import CyclicWord
 
 
 def test_evaluate_no_arcs():
@@ -43,11 +45,14 @@ def test_evaluate_three_chords_with_labels():
 
 def test_evaluate_order_override():
     d = ChordDiagram.parse("[ #1 #2 #3 #4 ; (#1 #3) (#2 #4) ]")
-    forward = evaluate(d, order=[("#1", "#3"), ("#2", "#4")])
-    backward = evaluate(d, order=[("#2", "#4"), ("#1", "#3")])
+    folds = []
+    for order in ([("#1", "#3"), ("#2", "#4")], [("#2", "#4"), ("#1", "#3")]):
+        value = to_surface(CyclicWord(d.base))
+        for x, y in order:
+            value = self_glue(value, x, y)
+        folds.append(value)
+    forward, backward = folds
     assert forward == backward == evaluate(d)
-    with pytest.raises(ValueError):
-        evaluate(d, order=[("#1", "#3")])  # not all arcs
 
 
 def test_face_tracing_matches_the_fold():
@@ -56,7 +61,7 @@ def test_face_tracing_matches_the_fold():
     for i in range(300):  # every third diagram holds a handle block
         d = random_diagram(rng, max_labels=6, max_arcs=7, ensure_handle=i % 3 == 0)
         traced = evaluate(d)
-        assert traced == evaluate(d, order=d.arcs), str(d)
+        assert traced == evaluate_expression(SurfaceTarget(), to_surface, d), str(d)
         labelled += bool(d.user_labels)
         with_empty += any(len(w) == 0 for w in traced.cycles)
     assert labelled > 100 and with_empty > 100

@@ -1,6 +1,7 @@
 """Targets, induced maps, axiom and morphism checkers."""
 
 import random
+import re
 from typing import NamedTuple
 
 import pytest
@@ -21,12 +22,11 @@ from surfops.laws import (
     check_well_definedness,
     evaluate_expression,
     induce,
-    surface_inclusion,
     surface_sampler,
     terminal_inclusion,
     terminal_sampler,
 )
-from surfops.surface import Surface, compose, self_glue
+from surfops.surface import Surface, compose, self_glue, to_surface
 from surfops.words import CyclicWord, Renaming
 
 
@@ -189,7 +189,7 @@ def test_terminal_target_operations():
 def test_induce_is_identity_on_surfaces():
     target = SurfaceTarget()
     for q in small_family():
-        assert induce(target, surface_inclusion, q) == q
+        assert induce(target, to_surface, q) == q
 
 
 def test_induce_terminal_hits_signature():
@@ -203,13 +203,13 @@ def test_evaluate_expression_on_plain_diagrams():
     for i in range(200):
         d = random_diagram(rng, ensure_handle=i % 2 == 1)
         q = evaluate(d)
-        assert evaluate_expression(SurfaceTarget(), surface_inclusion, d) == q
+        assert evaluate_expression(SurfaceTarget(), to_surface, d) == q
         assert evaluate_expression(TerminalTarget(), terminal_inclusion, d) == TerminalElement(q.labels, q.grade)
 
 
 def test_induce_no_contractions_at_grade_zero():
     q = Surface.parse("{ ( 1 2 3 ) }^0")
-    assert induce(SurfaceTarget(), surface_inclusion, q) == q
+    assert induce(SurfaceTarget(), to_surface, q) == q
     assert induce(TerminalTarget(), terminal_inclusion, q) == terminal_inclusion(
         CyclicWord(("1", "2", "3"))
     )
@@ -267,7 +267,7 @@ def test_report_rendering():
 def test_cyclic_morphism_passes():
     words = small_words()
     for target, include in [
-        (SurfaceTarget(), surface_inclusion),
+        (SurfaceTarget(), to_surface),
         (TerminalTarget(), terminal_inclusion),
     ]:
         report = check_cyclic_morphism(target, include, words, budget=500)
@@ -283,7 +283,7 @@ def test_cyclic_morphism_catches_twisted_inclusion():
 def test_modular_morphism_passes():
     family = small_family()
     for target, include in [
-        (SurfaceTarget(), surface_inclusion),
+        (SurfaceTarget(), to_surface),
         (TerminalTarget(), terminal_inclusion),
     ]:
         report = check_modular_morphism(target, include, family, budget=400)
@@ -305,10 +305,9 @@ def test_modular_morphism_catches_collapse():
 
 def test_well_definedness_report():
     q = Surface.parse("{ ( 1 ) ( 2 ) }^1")
-    rep = check_well_definedness(SurfaceTarget(), surface_inclusion, q)
+    rep = check_well_definedness(SurfaceTarget(), to_surface, q)
     assert rep.agreed and rep.expressions == 2
     assert rep.value == q
-    assert "agree" in str(rep)
     rep2 = check_well_definedness(TerminalTarget(), terminal_inclusion, q)
     assert rep2.agreed and rep2.value == TerminalElement(q.labels, q.grade)
 
@@ -330,16 +329,15 @@ def test_faulty_morphism_counts_pinned():
     def counts(report):
         return {name: (f.checked, f.failures) for name, f in report.families.items()}
 
-    assert counts(check_modular_morphism(NoGenusBump(), surface_inclusion, small_family(3, 1))) \
+    assert counts(check_modular_morphism(NoGenusBump(), to_surface, small_family(3, 1))) \
         == NO_GENUS_BUMP_MODULAR_COUNTS
     assert counts(check_cyclic_morphism(SurfaceTarget(), twisted, small_words(3))) == TWISTED_CYCLIC_COUNTS
 
 
 def test_well_definedness_keeps_values():
     q = Surface.parse("{ ( 1 ) ( 2 3 ) }^1")
-    rep = check_well_definedness(SurfaceTarget(), surface_inclusion, q)
+    rep = check_well_definedness(SurfaceTarget(), to_surface, q)
     assert rep.values == (q,) and rep.value is rep.values[0]
-    assert rep.to_json()["values"] == [str(q)]
 
 
 class Shadow(NamedTuple):
@@ -383,4 +381,60 @@ def test_minimal_target_runs_through_the_harness():
 def test_induce_refuses_glue_token_labels():
     # Surface(...) takes glue tokens as labels; the canonical presentation refuses them
     with pytest.raises(ValueError, match="label '#1' is a glue token"):
-        induce(SurfaceTarget(), surface_inclusion, Surface([["#1", "a"]], 1))
+        induce(SurfaceTarget(), to_surface, Surface([["#1", "a"]], 1))
+
+
+def _budgeted_checks(budget):
+    """Each harness entry point that takes a per-family ``budget``, called with it."""
+    return [
+        lambda: check_axioms(SurfaceTarget(), small_family(1, 0), budget=budget),
+        lambda: check_cyclic_morphism(SurfaceTarget(), to_surface, small_words(2), budget=budget),
+        lambda: check_modular_morphism(SurfaceTarget(), to_surface, small_family(1, 0), budget=budget),
+        lambda: check_universal_property(1, 0, budget=budget),
+    ]
+
+
+@pytest.mark.parametrize("count", [True, 2.5, "3"])
+def test_harness_counts_refuse_non_integers(count):
+    shown = re.escape(repr(count))
+    for check in _budgeted_checks(count):
+        with pytest.raises(ValueError, match=f"^budget must be an integer, got {shown}$"):
+            check()
+    with pytest.raises(ValueError, match=f"^count must be an integer, got {shown}$"):
+        check_axioms_random(SurfaceTarget(), surface_sampler(), count, random.Random(0))
+    with pytest.raises(ValueError, match=f"^max_labels must be an integer, got {shown}$"):
+        check_universal_property(max_labels=count)
+
+
+def test_harness_counts_refuse_negative_values():
+    for check in _budgeted_checks(-1):
+        with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+            check()
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        check_axioms_random(SurfaceTarget(), surface_sampler(), -1, random.Random(0))
+    with pytest.raises(ValueError, match="^max_labels must be nonnegative$"):
+        check_universal_property(max_labels=-1)
+
+
+def test_harness_counts_of_zero_and_none_stay_valid():
+    for check in _budgeted_checks(0):
+        assert check().total_checked == 0
+    assert check_axioms(SurfaceTarget(), small_family(1, 0), budget=None).total_checked > 0
+    assert check_axioms_random(SurfaceTarget(), surface_sampler(), 0, random.Random(0)).total_checked == 0
+
+
+def test_terminal_target_preconditions():
+    t = TerminalTarget()
+    x = TerminalElement(frozenset({"a", "b"}), 0)
+    y = TerminalElement(frozenset({"c", "d"}), 1)
+    cases = [
+        (lambda: t.rename(x, Renaming({"a": "b"})), "renaming does not cover ['b']"),
+        (lambda: t.compose(x, "z", y, "c"), "no marked point z on the left element"),
+        (lambda: t.compose(x, "a", y, "z"), "no marked point z on the right element"),
+        (lambda: t.compose(x, "a", TerminalElement(frozenset({"a", "e"}), 0), "e"), "elements share marked points"),
+        (lambda: t.contract(x, "a", "a"), "contraction needs two distinct marked points"),
+        (lambda: t.contract(x, "a", "z"), "contraction points must be marked on the element"),
+    ]
+    for call, text in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call()

@@ -1,6 +1,7 @@
 """Source rules for the package: invariants survive ``python -O``, the oracles stay independent
-(in both directions), each public name is declared once, in its module's ``__all__``, and the
-sources parse on the oldest Python that ``pyproject.toml`` admits."""
+(in both directions), modules import one another only downward, each public name is declared
+once, in its module's ``__all__``, and the sources parse on the oldest Python that
+``pyproject.toml`` admits."""
 
 import ast
 import importlib
@@ -15,6 +16,8 @@ SOURCES = sorted((ROOT / "src" / "surfops").glob("*.py"))
 INDEPENDENT = {"oracles", "perfbench"}  # the references the package is checked against
 ORACLES = [ROOT / "tests" / "oracles.py", ROOT / "perfbench" / "oracle.py"]  # read, never edited
 FRONT_ENDS = {"__init__", "__main__", "cli"}  # every other module declares its API in __all__
+# The import order: a module imports only from lower layers, never from its own layer or above.
+LAYERS = [{"lexer"}, {"words"}, {"surface"}, {"diagram"}, {"canonical", "rewrite", "census"}, {"laws"}, {"cli"}]
 
 # The package API, pinned: a name added or dropped here is a listed behaviour change.
 EXPORTS = sorted([
@@ -27,7 +30,7 @@ EXPORTS = sorted([
     "enumerate_surfaces", "equivalent", "evaluate", "evaluate_expression", "find_certificate",
     "genus_distribution", "glue", "induce", "is_glue", "move_boundary", "move_handle", "neighbors",
     "random_diagram", "random_surface", "render_dot", "rotate_sides", "self_glue", "splice",
-    "surface_inclusion", "terminal_inclusion", "to_surface",
+    "terminal_inclusion", "to_surface",
 ])
 
 
@@ -73,12 +76,31 @@ def test_the_oracles_import_only_the_standard_library():
         assert found == [], f"an oracle imports beyond the standard library, so it may reach surfops: {found}"
 
 
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that a module imports; the package reaches itself only by relative imports."""
+    found = set()
+    for node in ast.walk(tree):
+        assert "surfops" not in _top_modules(node), f"an absolute import of the package at line {node.lineno}"
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_package_modules_import_only_downward():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    modules = {name.removesuffix(".py"): tree for name, tree in _trees()}
+    assert set(modules) - {"__init__", "__main__"} == set(layer), "every module has a layer"
+    upward = [f"{module} imports {other}" for module, tree in modules.items() if module in layer
+              for other in sorted(_package_imports(tree)) if layer[other] >= layer[module]]
+    assert upward == [], f"imports that do not go down the layers: {upward}"
+
+
 def _api_modules():
     return [importlib.import_module(f"surfops.{path.stem}") for path in SOURCES if path.stem not in FRONT_ENDS]
 
 
 def test_export_set_is_pinned():
-    assert len(EXPORTS) == 53
+    assert len(EXPORTS) == 52
     assert sorted(surfops.__all__) == EXPORTS
     namespace: dict = {}
     exec("from surfops import *", namespace)

