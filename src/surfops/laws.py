@@ -11,7 +11,8 @@ traces faces instead, and the tests check it against this fold.
 Each law is written once, as its parameter names and a function giving both
 sides.  Each axiom family has one instance generator, written as nested loops
 over choice points (element tuples, label picks, renamings): the exhaustive
-driver offers every option over a fixed pool, the random driver draws one.
+driver offers every option over a fixed pool, building each list of renamings
+once per sweep, and the random driver draws one.
 The morphism checkers draw their instances from the same choice points, and
 every law compares values themselves, never their text.
 """
@@ -93,10 +94,10 @@ class TerminalTarget(Target):
     name = "terminal"
 
     def rename(self, x: TerminalElement, renaming: Renaming) -> TerminalElement:
-        missing = x.labels - renaming.domain
-        if missing:
-            raise ValueError(f"renaming does not cover {sorted(missing)}")
-        return TerminalElement(frozenset(renaming(l) for l in x.labels), x.grade)
+        table = renaming._map
+        if not table.keys() >= x.labels:
+            raise ValueError(f"renaming does not cover {sorted(x.labels.difference(table))}")
+        return TerminalElement(frozenset(map(table.__getitem__, x.labels)), x.grade)
 
     def compose(self, x: TerminalElement, a: str, y: TerminalElement, b: str) -> TerminalElement:
         if a not in x.labels:
@@ -261,7 +262,7 @@ class _Session:
         t = self.t
         labels, grade = t.labels_of(x), t.grade_of(x)
         out = t.rename(x, renaming)
-        return self._kept("rename", out, frozenset(renaming(l) for l in labels), grade)
+        return self._kept("rename", out, frozenset(map(renaming, labels)), grade)
 
     def compose(self, x, a: str, y, b: str):
         t = self.t
@@ -317,6 +318,7 @@ class _AllChoices:
             self.groups.setdefault(labels_of(x), []).append(x)
         self.sets = sorted(self.groups, key=lambda ls: (len(ls), sorted(ls)))
         self.all_labels = frozenset().union(*self.groups)
+        self._renamings: dict[tuple, tuple[Renaming, ...]] = {}
 
     def elements(self, *min_labels: int):
         """Tuples of elements on pairwise disjoint labels, each with at least ``min_labels``.
@@ -345,12 +347,19 @@ class _AllChoices:
         return (permutations if ordered else combinations)(sorted(self.labels_of(x) - excluded), 2)
 
     def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
-        """Bijections from ``labels`` onto itself (unless ``fresh_only``), then onto fresh names."""
+        """Bijections from ``labels`` onto itself (unless ``fresh_only``), then onto fresh names.
+
+        Each tuple is built once per ``_AllChoices``, so once per sweep, and every later call with
+        the same labels, fresh names and ``fresh_only`` gets it again.
+        """
         # fresh names avoid every label of the pool, not just the instance's
-        src = sorted(labels)
-        fresh = permutations(_fresh_names(len(src), self.all_labels | avoid | labels, tag))
-        images = fresh if fresh_only else chain(permutations(src), fresh)
-        return (Renaming._of(tuple(zip(src, image))) for image in images)
+        src = tuple(sorted(labels))
+        fresh = tuple(_fresh_names(len(src), self.all_labels | avoid | labels, tag))
+        key = (src, fresh, fresh_only)
+        if key not in self._renamings:
+            images = permutations(fresh) if fresh_only else chain(permutations(src), permutations(fresh))
+            self._renamings[key] = tuple(Renaming._of(tuple(zip(src, image))) for image in images)
+        return self._renamings[key]
 
     def branch(self, p: float):
         return (True, False)

@@ -64,10 +64,17 @@ class Surface(_Value):
         raise ValueError(f"label {label!r} does not occur in {self}")
 
     def rename(self, renaming: Renaming) -> "Surface":
-        if not self.labels <= renaming.domain:
-            missing = sorted(self.labels - renaming.domain)
+        """The surface with each label sent through ``renaming``, which must cover every label.
+
+        Coverage is read off the renaming's dict, and each cycle is mapped through it once and
+        rebuilt by ``CyclicWord._of``: a bijection keeps the labels distinct, so nothing is rechecked.
+        """
+        table = renaming._map
+        if not table.keys() >= self.labels:
+            missing = sorted(self.labels.difference(table))
             raise ValueError(f"renaming does not cover labels {missing}")
-        return Surface._of([w.rename(renaming) for w in self.cycles], self.genus)
+        get = table.__getitem__
+        return Surface._of([CyclicWord._of(tuple(map(get, w.items))) for w in self.cycles], self.genus)
 
     def __str__(self) -> str:
         inner = " ".join(str(w) for w in self.cycles)

@@ -124,6 +124,7 @@ class Renaming(_Value):
         self._build(pairs)
 
     def _build(self, pairs: Iterable[tuple[str, str]]) -> None:
+        # ``_map`` is the graph as a dict; the renaming loops of ``surface`` and ``laws`` read it directly
         pairs = tuple(sorted(pairs))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_map", dict(pairs))
@@ -148,9 +149,12 @@ class Renaming(_Value):
 
     def after(self, first: "Renaming") -> "Renaming":
         """The composite 'apply ``first``, then self'."""
-        if not first.codomain <= self.domain:
-            raise ValueError("renamings do not compose: codomain exceeds domain")
-        return Renaming._of([(src, self(dst)) for src, dst in first.pairs])
+        table = self._map
+        try:
+            pairs = [(src, table[dst]) for src, dst in first.pairs]
+        except KeyError:
+            raise ValueError("renamings do not compose: codomain exceeds domain") from None
+        return Renaming._of(pairs)
 
     def union(self, other: "Renaming") -> "Renaming":
         if self.domain & other.domain:
@@ -161,7 +165,7 @@ class Renaming(_Value):
 
     def restrict(self, labels: Iterable[str]) -> "Renaming":
         keep = frozenset(labels)
-        if not keep <= self.domain:
+        if not self._map.keys() >= keep:
             raise ValueError("cannot restrict a renaming beyond its domain")
         return Renaming._of([(s, t) for s, t in self.pairs if s in keep])
 

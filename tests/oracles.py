@@ -150,6 +150,12 @@ def canonical_surface(cycles, genus: int) -> tuple[tuple[tuple[str, ...], ...], 
     return tuple(sorted(least)), genus
 
 
+def rename_reference(surface, mapping: dict[str, str]):
+    """Send every label of a (cycles, genus) pair through ``mapping``; cycles and genus keep their shape."""
+    cycles, genus = surface
+    return canonical_surface([[mapping[x] for x in c] for c in cycles], genus)
+
+
 def _reconnected(cycles, a: str, b: str) -> list[tuple[str, ...]]:
     """The boundary after gluing the marked points a and b, traced segment by segment.
 

@@ -2,6 +2,10 @@
 
 import random
 import re
+import subprocess
+import sys
+from operator import attrgetter
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -438,3 +442,59 @@ def test_terminal_target_preconditions():
     for call, text in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             call()
+
+
+def test_axiom_reports_repeat_exactly():
+    # the renaming lists are shared within a sweep, never across sweeps, and keep the sweep's order
+    pool = small_family(3, 0)
+    first, second = check_axioms(SurfaceTarget(), pool), check_axioms(SurfaceTarget(), pool)
+    assert str(first) == str(second) and first.to_json() == second.to_json()
+    assert [str(check_axioms(NoGenusBump(), small_family())) for _ in range(2)] == [BROKEN_CONTRACT_REPORT] * 2
+
+
+def test_renaming_lists_are_built_once_per_sweep():
+    ch = laws._AllChoices(attrgetter("labels"), small_family(3, 0))
+    lx = frozenset({"1", "3"})
+    both = ch.renamings(lx, lx, "u")
+    assert isinstance(both, tuple) and ch.renamings(lx, lx, "u") is both
+    assert [str(r) for r in both] == ["{1->1, 3->3}", "{1->3, 3->1}", "{1->u1, 3->u2}", "{1->u2, 3->u1}"]
+    assert ch.renamings(lx, lx, "u", fresh_only=True) == both[2:]
+    # the key covers the fresh names: another avoid set or tag gives other ones
+    assert [str(r) for r in ch.renamings(lx, lx | {"u1"}, "u")[2:]] == ["{1->u2, 3->u3}", "{1->u3, 3->u2}"]
+    assert ch.renamings(lx, lx, "v")[2:] != both[2:]
+    # each sweep builds its own
+    again = laws._AllChoices(attrgetter("labels"), small_family(3, 0)).renamings(lx, lx, "u")
+    assert again == both and again is not both
+
+
+class DropsALabel(TerminalTarget):
+    """A rename that loses the least label: only the bookkeeping postcondition sees it."""
+
+    def rename(self, x, renaming):
+        out = super().rename(x, renaming)
+        return out._replace(labels=out.labels - {min(out.labels)}) if out.labels else out
+
+
+def _dropped_rename_counterexample():
+    elements = [TerminalElement(frozenset(sub), 0) for sub in label_subsets(2)]
+    return check_axioms(DropsALabel(), elements).families["rename_functoriality"].counterexample
+
+
+def test_rename_postcondition_catches_a_dropped_label():
+    found = _dropped_rename_counterexample()
+    assert found.lhs == "bookkeeping broke under rename: got point({}; grade 0)", found
+    assert found.rhs == "(postcondition)"
+
+
+def test_rename_postcondition_holds_under_python_O():
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "assert False, 'asserts must be off'\n"
+        "from test_laws import _dropped_rename_counterexample\n"
+        "print(_dropped_rename_counterexample().lhs)\n"
+    )
+    here = Path(__file__).parent
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(here), str(here.parent / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "bookkeeping broke under rename: got point({}; grade 0)\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import canonical_surface, compose_reference, self_glue_reference
+from oracles import canonical_surface, compose_reference, rename_reference, self_glue_reference
 from surfops.census import random_surface
 from surfops.lexer import ParseError
 from surfops.surface import Surface, compose, self_glue, to_surface
@@ -48,8 +48,10 @@ def test_rename():
     assert q.rename(Renaming({"a": "x", "b": "y"})) == Surface([("x", "y")], 0)
     swap = Renaming({"a": "b", "b": "a"})
     assert Surface([("a",), ("b",)], 1).rename(swap) == Surface([("a",), ("b",)], 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^renaming does not cover labels \['b'\]$"):
         q.rename(Renaming({"a": "x"}))
+    with pytest.raises(ValueError, match=r"^renaming does not cover labels \['b', 'c'\]$"):
+        Surface([("a", "b"), ("c",)], 1).rename(Renaming({"a": "x", "z": "y"}))
     # refused as the Renaming is built, so rename never makes a surface its parser rejects
     with pytest.raises(ValueError, match="label '#1' contains reserved character '#'"):
         q.rename(Renaming({"a": "#1", "b": "c"}))
@@ -232,6 +234,25 @@ def test_gluings_agree_with_the_oracle():
             branches["split" if b in q.cycle_containing(a) else "merge"] += 1
             assert canonical_surface(*_pair(self_glue(q, a, b))) == self_glue_reference(_pair(q), a, b)
     assert branches["split"] > 500 and branches["merge"] > 500, branches
+
+
+def test_rename_agrees_with_the_oracle():
+    """rename against mapping each cycle label by label, onto permutations of the own labels and onto other names."""
+    rng = random.Random(2113)
+    kinds = Counter()
+    for _ in range(3000):
+        q = random_surface(rng, rng.sample("abcdef", rng.randint(0, 6)), 2, max_extra_empty=2)
+        src = sorted(q.labels)
+        if rng.random() < 0.5:
+            image, kind = rng.sample(src, len(src)), "permuted"
+        else:
+            image, kind = rng.sample(["a", "c", "x1", "x2", "y", "zz", "Ω"], len(src)), "other names"
+        mapping = dict(zip(src, image))
+        kinds[kind] += 1
+        kinds["genus > 0"] += q.genus > 0
+        kinds["empty cycle"] += any(not w.items for w in q.cycles)
+        assert canonical_surface(*_pair(q.rename(Renaming(mapping)))) == rename_reference(_pair(q), mapping)
+    assert min(kinds.values()) > 1000, kinds
 
 
 def test_to_surface():

@@ -37,8 +37,35 @@ def cross_checked(monkeypatch):
     return built
 
 
+@pytest.fixture
+def build_counts(monkeypatch):
+    """The number of trusted builds per type, counted without checking them."""
+    built = Counter()
+    for cls in VALUE_TYPES:
+        def counted(*args, cls=cls, build=cls._of):
+            built[cls.__name__] += 1
+            return build(*args)
+
+        monkeypatch.setattr(cls, "_of", staticmethod(counted))
+    return built
+
+
 def _pool():
     return [q for subset in label_subsets(3) for q in enumerate_surfaces(subset, 1)]
+
+
+def test_laws_sweep_build_counts(build_counts):
+    """One exhaustive sweep of the benchmark's laws pool (labels <= 4, genus 0) does not rebuild more values.
+
+    Each list of renamings is built once per sweep, so almost every Renaming build is a composite,
+    a restriction or a union; the counts of surfaces and words are those of one build per operation.
+    """
+    pool = [q for subset in label_subsets(4) for q in enumerate_surfaces(subset, 0)]
+    build_counts.clear()
+    report = check_axioms(SurfaceTarget(), pool)
+    assert len(pool) == 65 and report.passed and report.total_checked == 43959
+    assert build_counts["Renaming"] == 55038, build_counts
+    assert build_counts["Surface"] <= 151271 and build_counts["CyclicWord"] <= 280011, build_counts
 
 
 def test_laws_build_only_valid_values(cross_checked):

@@ -103,7 +103,7 @@ def test_rename_then_canonicalize():
 
 
 def test_rename_requires_full_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^label 'b' is outside the renaming domain$"):
         CyclicWord(("a", "b")).rename(Renaming({"a": "x"}))
 
 
@@ -118,6 +118,8 @@ def test_renaming_validation():
     r = Renaming({"a": "x", "b": "y"})
     assert r("a") == "x"
     assert r.restrict(["a"]).domain == frozenset({"a"})
+    with pytest.raises(ValueError, match="^cannot restrict a renaming beyond its domain$"):
+        r.restrict(["a", "z"])
     with pytest.raises(ValueError):
         r("z")
 
@@ -127,6 +129,8 @@ def test_renaming_after_and_union():
     second = Renaming({"m": "1", "n": "2"})
     composite = second.after(first)
     assert composite("a") == "1" and composite("b") == "2"
+    with pytest.raises(ValueError, match="^renamings do not compose: codomain exceeds domain$"):
+        Renaming({"m": "1"}).after(first)
     both = Renaming({"a": "x"}).union(Renaming({"b": "y"}))
     assert both.domain == frozenset({"a", "b"})
     with pytest.raises(ValueError):
