@@ -179,7 +179,7 @@ def cmd_check_axioms(args) -> int:
         sampler = terminal_sampler()
     report = check_axioms(target, elements, budget=args.budget)
     if args.random:
-        check_axioms_random(target, sampler, args.random, random.Random(args.seed), report=report)
+        report.absorb(check_axioms_random(target, sampler, args.random, random.Random(args.seed)))
     return _print_report(report, args.json)
 
 

@@ -186,6 +186,7 @@ class LawReport:
         return self.total_failures == 0
 
     def absorb(self, other: "LawReport", prefix: str = "") -> None:
+        """Add ``other``'s counts per family (named ``prefix + name``); a family's own counterexample comes first."""
         for name, res in other.families.items():
             fam = self.family(prefix + name)
             fam.checked += res.checked
@@ -556,28 +557,21 @@ def terminal_sampler(max_labels: int = 6, max_grade: int = 6):
     return _sampler(max_labels, lambda rng, labels: TerminalElement(frozenset(labels), rng.randint(0, max_grade)))
 
 
-def check_axioms_random(
-    target: Target,
-    sampler,
-    count: int,
-    rng: random.Random,
-    report: LawReport | None = None,
-) -> LawReport:
+def check_axioms_random(target: Target, sampler, count: int, rng: random.Random) -> LawReport:
     """Run ``count`` randomized axiom instances, spread across the families.
 
     ``sampler(rng, avoid, min_labels)`` must return an element whose labels
-    avoid the given set.  Results accumulate into ``report`` when passed.
+    avoid the given set.  The report lists every family, reached or not; to
+    add its counts to an exhaustive report, pass it to that report's ``absorb``.
     """
     _require_count(count, "count", 0, "count must be nonnegative")
-    if report is None:
-        report = LawReport(f"randomized axiom check against target '{target.name}'",
-                           {name: FamilyResult() for name in AXIOM_FAMILIES})
-    s = _Session(target, report)
+    s = _Session(target, LawReport(f"randomized axiom check against target '{target.name}'",
+                                   {name: FamilyResult() for name in AXIOM_FAMILIES}))
     choices = _RandomChoices(target.labels_of, sampler, rng)
     for i in range(count):
         family = AXIOM_FAMILIES[i % len(AXIOM_FAMILIES)]
         s.run(family, _AXIOMS[family](choices))
-    return report
+    return s.report
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +641,10 @@ def check_modular_morphism(
 
 @dataclass
 class AgreementReport:
-    """Whether every expression presenting one surface evaluates alike; ``values`` are the distinct ones."""
+    """The distinct ``values`` of one surface's canonical expressions: they agree when there is one."""
 
     expressions: int
     values: tuple
-
-    @property
-    def agreed(self) -> bool:
-        return len(self.values) == 1
-
-    @property
-    def value(self) -> object | None:
-        return self.values[0] if self.agreed else None
 
 
 def check_well_definedness(target: Target, include: Callable[[CyclicWord], object], q: Surface) -> AgreementReport:

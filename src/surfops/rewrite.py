@@ -9,7 +9,11 @@ Three moves transform a diagram without changing the surface it evaluates to:
   one arc may be cut out and reinserted after any item outside it.
 * handle: four consecutive tokens a b c d with arcs {a, c} and {b, d} may be
   cut out as a block and reinserted after any item outside it.  ``_handles``
-  is the one test for such a block, and both ``neighbors`` and ``move_handle`` use it.
+  is the one test for such a block.
+
+Each move is a value (``RotateMove``, ``BoundaryMove``, ``HandleMove``), and
+``apply_move`` is the one checked way to apply it.  ``neighbors`` builds every
+single-move successor from the same sides and handle blocks, unchecked.
 
 ``find_certificate`` searches for a move sequence from one diagram to
 another (same base items up to rotation, identical arcs).
@@ -85,15 +89,31 @@ def _reinserted(segment: tuple[str, ...], outside: tuple[str, ...], k: int, arcs
     return ChordDiagram._of(segment + outside[k + 1 :] + outside[: k + 1], arcs)
 
 
-def rotate_sides(d: ChordDiagram, arc: Sequence[str], k1: int, k2: int) -> ChordDiagram:
-    """Rotate the two sides of the pivot arc by k1 and k2 positions."""
-    x, y = arc
-    _require_arc(d, x, y)
-    s1, s2 = _sides(d, x, y)
-    return ChordDiagram._of((x,) + _rot(s1, k1) + (y,) + _rot(s2, k2), d.arcs)
+def apply_move(d: ChordDiagram, move: Move) -> ChordDiagram:
+    """``d`` after one checked move; a move with ``after=None`` leaves ``d`` itself in place.
 
-
-def _reinsert(d: ChordDiagram, segment: tuple[str, ...], outside: tuple[str, ...], after: str | None) -> ChordDiagram:
+    A boundary or handle move relocates its segment: the items from ``first``
+    to ``last`` (arc partners), or a handle block as ``_handles`` finds it.
+    """
+    if isinstance(move, RotateMove):
+        x, y = move.arc
+        _require_arc(d, x, y)
+        s1, s2 = _sides(d, x, y)
+        return ChordDiagram._of((x,) + _rot(s1, move.k1) + (y,) + _rot(s2, move.k2), d.arcs)
+    if isinstance(move, BoundaryMove):
+        _require_arc(d, move.first, move.last)
+        s1, s2 = _sides(d, move.first, move.last)
+        segment, outside = (move.first,) + s1 + (move.last,), s2
+    elif isinstance(move, HandleMove):
+        t = tuple(move.tokens)
+        for segment, outside in _handles(d):
+            if segment == t:
+                break
+        else:
+            raise ValueError(f"tokens {' '.join(map(str, t))} are not a handle block of the diagram")
+    else:
+        raise TypeError(f"not a move: {move!r}")
+    after = move.after
     if after is None:
         if outside:
             raise ValueError("an insertion point is required when items remain outside the segment")
@@ -101,32 +121,6 @@ def _reinsert(d: ChordDiagram, segment: tuple[str, ...], outside: tuple[str, ...
     if after not in outside:
         raise ValueError(f"insertion point {after!r} is not outside the segment")
     return _reinserted(segment, outside, outside.index(after), d.arcs)
-
-
-def move_boundary(d: ChordDiagram, first: str, last: str, after: str | None) -> ChordDiagram:
-    """Relocate the contiguous segment from ``first`` to ``last`` (arc partners)."""
-    _require_arc(d, first, last)
-    s1, s2 = _sides(d, first, last)
-    return _reinsert(d, (first,) + s1 + (last,), s2, after)
-
-
-def move_handle(d: ChordDiagram, tokens: Sequence[str], after: str | None) -> ChordDiagram:
-    """Relocate a handle block, as ``_handles`` finds it: four consecutive tokens with interleaved arcs."""
-    t = tuple(tokens)
-    for block, outside in _handles(d):
-        if block == t:
-            return _reinsert(d, block, outside, after)
-    raise ValueError(f"tokens {' '.join(map(str, t))} are not a handle block of the diagram")
-
-
-def apply_move(d: ChordDiagram, move: Move) -> ChordDiagram:
-    if isinstance(move, RotateMove):
-        return rotate_sides(d, move.arc, move.k1, move.k2)
-    if isinstance(move, BoundaryMove):
-        return move_boundary(d, move.first, move.last, move.after)
-    if isinstance(move, HandleMove):
-        return move_handle(d, move.tokens, move.after)
-    raise TypeError(f"not a move: {move!r}")
 
 
 def apply_moves(d: ChordDiagram, moves: Sequence[Move]) -> ChordDiagram:
@@ -157,9 +151,8 @@ def neighbors(d: ChordDiagram) -> Iterator[tuple[Move, ChordDiagram]]:
     """All single-move successors of ``d``, in a deterministic order.
 
     The sides and positions of each arc and handle are computed once, and
-    every successor is built from them directly, without the checks of the
-    move functions.  ``apply_move`` is the checked path, and gives the same
-    diagram for each move yielded here.
+    every successor is built from them directly, unchecked.  ``apply_move``
+    is the checked path, and gives the same diagram for each move yielded here.
     """
     arcs = d.arcs
     sides = [(arc, _sides(d, *arc)) for arc in arcs]
@@ -217,9 +210,6 @@ __all__ = [
     "BoundaryMove",
     "HandleMove",
     "Move",
-    "rotate_sides",
-    "move_boundary",
-    "move_handle",
     "apply_move",
     "apply_moves",
     "equivalent",

@@ -1,9 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+# child Pythons that the tests start import the package from this checkout, whatever the caller exported
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "suite",

@@ -75,13 +75,12 @@ def test_criterion_1_axiom_suite(capsys):
     report = check_axioms(SurfaceTarget(), elements)
     exhaustive = {name: report.families[name].checked for name in AXIOM_FAMILIES}
     rng = random.Random(SEED)
-    check_axioms_random(
+    report.absorb(check_axioms_random(
         SurfaceTarget(),
         surface_sampler(max_labels=6, max_g=3, max_extra_empty=2),
         10_000,
         rng,
-        report=report,
-    )
+    ))
     elapsed = time.monotonic() - start
     ok = (
         len(elements) == 195
@@ -114,7 +113,7 @@ def test_criterion_3_well_definedness(capsys):
     failures = []
     for q in round_trip_family():
         agreement = check_well_definedness(target, to_surface, q)
-        if not agreement.agreed or agreement.value != q:
+        if agreement.values != (q,):
             failures.append((q, agreement))
     ok = not failures
     report_line(capsys, 3, "well-definedness across all presentations", ok)
@@ -290,7 +289,7 @@ def test_criterion_9_mutation_sensitivity(capsys):
     target = _SplitMisrouted()
     for q in family:
         agreement = check_well_definedness(target, to_surface, q)
-        if not agreement.agreed or agreement.value != q:
+        if agreement.values != (q,):
             split_caught = True
             break
 

@@ -259,6 +259,27 @@ def test_seeded_random_reproducible(capsys):
     assert first == second
 
 
+SEEDED_RANDOM_REPORT = """\
+axiom check against target 'surfaces'
+  compose_symmetry                 3 checked    0 failed  ok
+  rename_functoriality             9 checked    0 failed  ok
+  compose_equivariance             3 checked    0 failed  ok
+  contract_equivariance            3 checked    0 failed  ok
+  contract_commutativity           3 checked    0 failed  ok
+  contract_compose_exchange        3 checked    0 failed  ok
+  contract_factor_left             3 checked    0 failed  ok
+  contract_factor_right            3 checked    0 failed  ok
+  compose_associativity            3 checked    0 failed  ok
+  total: 33 checked, 0 failed -> PASS
+"""
+
+
+def test_seeded_random_report_adds_to_the_exhaustive_one(capsys):
+    # the exhaustive title and family order, with the random counts added family by family
+    argv = ["check-axioms", "--max-labels", "1", "--max-g", "0", "--random", "27", "--seed", "3"]
+    assert run(capsys, *argv) == (0, SEEDED_RANDOM_REPORT, "")
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child writes anything

@@ -243,6 +243,28 @@ def test_axioms_random_pass():
     assert report2.passed, str(report2)
 
 
+def test_absorb_adds_random_counts_behind_the_exhaustive_counterexamples():
+    report = check_axioms(NoGenusBump(), small_family())
+    exhaustive = {name: (f.checked, f.failures, f.counterexample) for name, f in report.families.items()}
+    random_report = check_axioms_random(NoGenusBump(), surface_sampler(), 90, random.Random(5))
+    report.absorb(random_report)
+    assert report.title == "axiom check against target 'surfaces'"
+    assert list(report.families) == list(exhaustive) == list(random_report.families)
+    for name, (checked, failures, counterexample) in exhaustive.items():
+        drawn = random_report.families[name]
+        assert report.families[name].checked == checked + drawn.checked
+        assert report.families[name].failures == failures + drawn.failures
+        assert report.families[name].counterexample is (counterexample or drawn.counterexample)
+    # both drivers caught contract_equivariance, and the exhaustive instance comes first
+    assert random_report.families["contract_equivariance"].counterexample is not None
+    assert report.families["contract_equivariance"].counterexample is exhaustive["contract_equivariance"][2]
+    assert report.families["contract_equivariance"].counterexample.inputs[0] == ("x", "{ ( 1 ) ( 2 ) }^0")
+    # a family the exhaustive pool never reached takes the random counterexample
+    assert exhaustive["contract_commutativity"] == (0, 0, None)
+    assert report.families["contract_commutativity"].counterexample is not None
+    assert str(report).endswith("\n  total: 200 checked, 37 failed -> FAIL")
+
+
 def test_axioms_catch_broken_contract():
     report = check_axioms(NoGenusBump(), small_family())
     assert not report.passed
@@ -310,10 +332,9 @@ def test_modular_morphism_catches_collapse():
 def test_well_definedness_report():
     q = Surface.parse("{ ( 1 ) ( 2 ) }^1")
     rep = check_well_definedness(SurfaceTarget(), to_surface, q)
-    assert rep.agreed and rep.expressions == 2
-    assert rep.value == q
+    assert rep.values == (q,) and rep.expressions == 2
     rep2 = check_well_definedness(TerminalTarget(), terminal_inclusion, q)
-    assert rep2.agreed and rep2.value == TerminalElement(q.labels, q.grade)
+    assert rep2.values == (TerminalElement(q.labels, q.grade),)
 
 
 def test_universal_property_aggregate():
@@ -341,7 +362,7 @@ def test_faulty_morphism_counts_pinned():
 def test_well_definedness_keeps_values():
     q = Surface.parse("{ ( 1 ) ( 2 3 ) }^1")
     rep = check_well_definedness(SurfaceTarget(), to_surface, q)
-    assert rep.values == (q,) and rep.value is rep.values[0]
+    assert rep.values == (q,)
 
 
 class Shadow(NamedTuple):

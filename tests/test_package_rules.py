@@ -28,8 +28,8 @@ EXPORTS = sorted([
     "check_modular_morphism", "check_universal_property", "check_well_definedness", "compose",
     "cycle_decompositions", "distribution_rows", "enumerate_cyclic_words", "enumerate_matchings",
     "enumerate_surfaces", "equivalent", "evaluate", "evaluate_expression", "find_certificate",
-    "genus_distribution", "glue", "induce", "is_glue", "move_boundary", "move_handle", "neighbors",
-    "random_diagram", "random_surface", "render_dot", "rotate_sides", "self_glue", "splice",
+    "genus_distribution", "glue", "induce", "is_glue", "neighbors",
+    "random_diagram", "random_surface", "render_dot", "self_glue", "splice",
     "terminal_inclusion", "to_surface",
 ])
 
@@ -100,7 +100,7 @@ def _api_modules():
 
 
 def test_export_set_is_pinned():
-    assert len(EXPORTS) == 52
+    assert len(EXPORTS) == 49
     assert sorted(surfops.__all__) == EXPORTS
     namespace: dict = {}
     exec("from surfops import *", namespace)

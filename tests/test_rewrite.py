@@ -13,33 +13,31 @@ from surfops.surface import Surface
 from surfops.rewrite import (
     BoundaryMove,
     HandleMove,
+    RotateMove,
     apply_move,
     apply_moves,
     equivalent,
     find_certificate,
-    move_boundary,
-    move_handle,
     neighbors,
-    rotate_sides,
 )
 
 
 def test_rotate_swaps_segment():
     d = ChordDiagram.parse("[ A B #1 C #2 ; (#1 #2) ]")
-    out = rotate_sides(d, ("#1", "#2"), 0, 1)
+    out = apply_move(d, RotateMove(("#1", "#2"), 0, 1))
     assert out == ChordDiagram.parse("[ B A #1 C #2 ; (#1 #2) ]")
     assert evaluate(out) == evaluate(d)
 
 
 def test_rotate_identity():
     d = ChordDiagram.parse("[ a #1 b #2 ; (#1 #2) ]")
-    assert rotate_sides(d, ("#1", "#2"), 0, 0) == d
+    assert apply_move(d, RotateMove(("#1", "#2"), 0, 0)) == d
 
 
 def test_rotate_composes():
     d = ChordDiagram.parse("[ p q r #1 s t #2 ; (#1 #2) ]")
-    once = rotate_sides(rotate_sides(d, ("#1", "#2"), 1, 1), ("#1", "#2"), 1, 1)
-    at_once = rotate_sides(d, ("#1", "#2"), 2, 2)
+    once = apply_move(apply_move(d, RotateMove(("#1", "#2"), 1, 1)), RotateMove(("#1", "#2"), 1, 1))
+    at_once = apply_move(d, RotateMove(("#1", "#2"), 2, 2))
     assert once == at_once
 
 
@@ -48,19 +46,19 @@ def test_rotate_with_crossing_arc():
     d = ChordDiagram.parse("[ #1 a #3 b #4 #2 ; (#3 #4) (#1 #2) ]")
     for k1 in range(2):
         for k2 in range(4):
-            out = rotate_sides(d, ("#3", "#4"), k1, k2)
+            out = apply_move(d, RotateMove(("#3", "#4"), k1, k2))
             assert evaluate(out) == evaluate(d)
 
 
 def test_rotate_requires_arc():
     d = ChordDiagram.parse("[ a #1 b #2 ; (#1 #2) ]")
     with pytest.raises(ValueError):
-        rotate_sides(d, ("#1", "#3"), 1, 0)
+        apply_move(d, RotateMove(("#1", "#3"), 1, 0))
 
 
 def test_boundary_move_example():
     d = ChordDiagram.parse("[ #1 1 #2 2 3 ; (#1 #2) ]")
-    out = move_boundary(d, "#1", "#2", "2")
+    out = apply_move(d, BoundaryMove("#1", "#2", "2"))
     assert out == ChordDiagram.parse("[ 2 #1 1 #2 3 ; (#1 #2) ]")
     assert evaluate(out) == evaluate(d) == Surface.parse("{ ( 2 3 ) ( 1 ) }^0")
 
@@ -68,34 +66,34 @@ def test_boundary_move_example():
 def test_boundary_move_identity_positions():
     d = ChordDiagram.parse("[ #1 #2 1 ; (#1 #2) ]")
     # moving the whole segment after the only outside item is a cyclic identity
-    assert move_boundary(d, "#1", "#2", "1") == d
+    assert apply_move(d, BoundaryMove("#1", "#2", "1")) == d
     with pytest.raises(ValueError):
-        move_boundary(d, "#1", "#2", "9")
+        apply_move(d, BoundaryMove("#1", "#2", "9"))
 
 
 def test_handle_move_example():
     d = ChordDiagram.parse("[ #1 #2 #3 #4 1 2 ; (#1 #3) (#2 #4) ]")
-    out = move_handle(d, ("#1", "#2", "#3", "#4"), "1")
+    out = apply_move(d, HandleMove(("#1", "#2", "#3", "#4"), "1"))
     assert out == ChordDiagram.parse("[ 1 #1 #2 #3 #4 2 ; (#1 #3) (#2 #4) ]")
     assert evaluate(out) == evaluate(d) == Surface.parse("{ ( 1 2 ) }^1")
 
 
 def test_handle_move_bare_circle():
     d = ChordDiagram.parse("[ #1 #2 #3 #4 ; (#1 #3) (#2 #4) ]")
-    assert move_handle(d, ("#1", "#2", "#3", "#4"), None) == d
+    assert apply_move(d, HandleMove(("#1", "#2", "#3", "#4"), None)) == d
 
 
 def test_handle_move_preconditions():
     d = ChordDiagram.parse("[ #1 #2 #3 #4 1 ; (#1 #2) (#3 #4) ]")
     with pytest.raises(ValueError, match="tokens #1 #2 #3 #4 are not a handle block of the diagram"):
-        move_handle(d, ("#1", "#2", "#3", "#4"), "1")  # arcs not interleaved
+        apply_move(d, HandleMove(("#1", "#2", "#3", "#4"), "1"))  # arcs not interleaved
     handle = ChordDiagram.parse("[ #1 #2 #3 #4 1 ; (#1 #3) (#2 #4) ]")
     wrong = [("#1", "#2", "#3"), ("#1", "#2", "#3", "#4", "1"), ("#1", "#2", "#3", "#9"), ("#3", "#4", "#1", "#2")]
     for tokens in wrong:
         with pytest.raises(ValueError, match=" are not a handle block of the diagram"):
-            move_handle(handle, tokens, "1")
+            apply_move(handle, HandleMove(tokens, "1"))
     with pytest.raises(ValueError, match="insertion point '9' is not outside the segment"):
-        move_handle(handle, ("#1", "#2", "#3", "#4"), "9")
+        apply_move(handle, HandleMove(("#1", "#2", "#3", "#4"), "9"))
 
 
 def test_move_handle_accepts_exactly_the_oracle_handles():
@@ -112,13 +110,13 @@ def test_move_handle_accepts_exactly_the_oracle_handles():
             if is_handle(window, d.arcs):
                 handles += 1
                 # after the item just before the block is where it already is
-                assert move_handle(d, window, outside[-1] if outside else None) == d
+                assert apply_move(d, HandleMove(window, outside[-1] if outside else None)) == d
                 for after in outside[:-1]:
-                    assert move_handle(d, window, after) == successors.pop(HandleMove(window, after))
+                    assert apply_move(d, HandleMove(window, after)) == successors.pop(HandleMove(window, after))
             else:
                 refused += 1
                 with pytest.raises(ValueError, match=" are not a handle block of the diagram"):
-                    move_handle(d, window, outside[0] if outside else None)
+                    apply_move(d, HandleMove(window, outside[0] if outside else None))
         assert successors == {}, d  # every handle move of neighbors was reached from an oracle handle
     assert handles > 150 and refused > 1000
 
@@ -236,5 +234,39 @@ def test_apply_move_refuses_a_non_move():
 
 def test_boundary_move_in_place_with_nothing_outside():
     d = ChordDiagram.parse("[ #1 #2 ; (#1 #2) ]")
-    assert move_boundary(d, "#1", "#2", None) is d
     assert apply_move(d, BoundaryMove("#1", "#2", None)) is d
+
+
+ONE_ARC = ChordDiagram.parse("[ #1 a #2 b c ; (#1 #2) ]")
+ONE_HANDLE = ChordDiagram.parse("[ #1 #2 #3 #4 1 2 ; (#1 #3) (#2 #4) ]")
+NOT_OUTSIDE = "^insertion point {!r} is not outside the segment$"
+NO_POINT = "^an insertion point is required when items remain outside the segment$"
+
+
+@pytest.mark.parametrize("d, move, error, match", [
+    (ONE_ARC, RotateMove(("#1", "b"), 1, 0), ValueError, "^{#1, b} is not an arc of the diagram$"),
+    (ONE_ARC, BoundaryMove("a", "#2", "c"), ValueError, "^{a, #2} is not an arc of the diagram$"),
+    (ONE_ARC, BoundaryMove("#1", "#2", None), ValueError, NO_POINT),
+    (ONE_HANDLE, HandleMove(("#1", "#2", "#3", "#4"), None), ValueError, NO_POINT),
+    (ONE_ARC, BoundaryMove("#1", "#2", "a"), ValueError, NOT_OUTSIDE.format("a")),
+    (ONE_ARC, BoundaryMove("#2", "#1", "#1"), ValueError, NOT_OUTSIDE.format("#1")),
+    (ONE_HANDLE, HandleMove(("#1", "#2", "#3", "#4"), "#3"), ValueError, NOT_OUTSIDE.format("#3")),
+    (ONE_HANDLE, HandleMove(("#2", "#3", "#4", "1"), "2"), ValueError,
+     "^tokens #2 #3 #4 1 are not a handle block of the diagram$"),
+    (ONE_ARC, HandleMove(("#1", "a", "#2", "b"), "c"), ValueError,
+     "^tokens #1 a #2 b are not a handle block of the diagram$"),
+    (ONE_ARC, ("#1", "#2"), TypeError, r"^not a move: \('#1', '#2'\)$"),
+    (ONE_ARC, None, TypeError, "^not a move: None$"),
+])
+def test_apply_move_refusals(d, move, error, match):
+    with pytest.raises(error, match=match):
+        apply_move(d, move)
+
+
+def test_apply_move_takes_lists_for_tokens_and_arcs():
+    handle = apply_move(ONE_HANDLE, HandleMove(["#1", "#2", "#3", "#4"], "1"))
+    assert handle == apply_move(ONE_HANDLE, HandleMove(("#1", "#2", "#3", "#4"), "1"))
+    assert handle == ChordDiagram.parse("[ 1 #1 #2 #3 #4 2 ; (#1 #3) (#2 #4) ]")
+    rotated = apply_move(ONE_ARC, RotateMove(["#1", "#2"], 0, 1))
+    assert rotated == apply_move(ONE_ARC, RotateMove(("#1", "#2"), 0, 1))
+    assert rotated == ChordDiagram.parse("[ #1 a #2 c b ; (#1 #2) ]")
