@@ -15,6 +15,13 @@ driver offers every option over a fixed pool, building each list of renamings
 once per sweep, and the random driver draws one.
 The morphism checkers draw their instances from the same choice points, and
 every law compares values themselves, never their text.
+
+The exhaustive driver computes each distinct operation (with its operands)
+once per family: renamings onto the same fresh names send every element of
+one shape to one value, so the nested choice loops ask for it again and
+again.  Results are shared for one family and then dropped; a failed
+operation is never shared.  The random driver and the morphism checkers call
+the target for every operation, since their instances seldom repeat one.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ class Target(ABC):
 
     A target writes ``rename``, ``compose`` and ``contract``; ``labels_of`` and
     ``grade_of`` read ``x.labels`` and ``x.grade`` unless a target overrides them.
+    Values are hashable, and each operation is a function of its operands'
+    values: equal operands give equal results, or the same refusal.
+    ``check_axioms`` relies on this to compute each distinct operation once.
     """
 
     name: str = "target"
@@ -246,8 +256,9 @@ class _Law(NamedTuple):
 class _Session:
     """Runs instances against a target with bookkeeping postconditions.
 
-    Counterexample inputs and sides are rendered with ``str``, and only for
-    the first failure of a family.
+    Each operation an instance asks for is one target call, then the
+    postcondition.  Counterexample inputs and sides are rendered with
+    ``str``, and only for the first failure of a family.
     """
 
     def __init__(self, target: Target, report: LawReport):
@@ -296,6 +307,46 @@ class _Session:
             if fam.counterexample is None:
                 inputs = tuple((name, str(v)) for name, v in zip(law.params.split(), args))
                 fam.counterexample = Counterexample(family, inputs, *shown)
+
+
+_MISSING = object()
+
+
+class _SharingSession(_Session):
+    """A session that computes each distinct operation once, for the exhaustive sweep.
+
+    ``rename`` (keyed on the renaming's ``pairs``), ``compose`` and
+    ``contract`` first look up the operation and its operands; a miss takes
+    the session's own path, the target call and then its postcondition.  A
+    failed operation is never stored, so it fails again on every instance
+    that reaches it.  Equal results share the first copy, so the store holds
+    each distinct value once.  ``check_axioms`` makes one per family: the
+    store is dropped when that family's ``run`` returns.
+    """
+
+    def __init__(self, target: Target, report: LawReport):
+        super().__init__(target, report)
+        self._results: dict[tuple, object] = {}
+        self._firsts: dict[object, object] = {}
+
+    def _stored(self, key: tuple, out):
+        out = self._results[key] = self._firsts.setdefault(out, out)
+        return out
+
+    def rename(self, x, renaming: Renaming):
+        key = ("rename", x, renaming.pairs)
+        out = self._results.get(key, _MISSING)
+        return self._stored(key, super().rename(x, renaming)) if out is _MISSING else out
+
+    def compose(self, x, a: str, y, b: str):
+        key = ("compose", x, a, y, b)
+        out = self._results.get(key, _MISSING)
+        return self._stored(key, super().compose(x, a, y, b)) if out is _MISSING else out
+
+    def contract(self, x, a: str, b: str):
+        key = ("contract", x, a, b)
+        out = self._results.get(key, _MISSING)
+        return self._stored(key, super().contract(x, a, b)) if out is _MISSING else out
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +575,15 @@ def check_axioms(target: Target, elements: Iterable, budget: int | None = None) 
 
     Label choices, renamings (onto permuted and onto fresh names), and
     partner elements are enumerated exhaustively; ``budget`` caps the
-    instance count per family when set.
+    instance count per family when set.  Each family runs in its own
+    ``_SharingSession``, so an operation repeated within a family is
+    computed once, and nothing is kept from one family to the next.
     """
-    s = _Session(target, LawReport(f"axiom check against target '{target.name}'"))
+    report = LawReport(f"axiom check against target '{target.name}'")
     choices = _AllChoices(target.labels_of, list(elements))
     for family, generate in _AXIOMS.items():
-        s.run(family, generate(choices), budget)
-    return s.report
+        _SharingSession(target, report).run(family, generate(choices), budget)
+    return report
 
 
 # ---------------------------------------------------------------------------

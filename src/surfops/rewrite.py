@@ -92,11 +92,21 @@ def _reinserted(segment: tuple[str, ...], outside: tuple[str, ...], k: int, arcs
 def apply_move(d: ChordDiagram, move: Move) -> ChordDiagram:
     """``d`` after one checked move; a move with ``after=None`` leaves ``d`` itself in place.
 
-    A boundary or handle move relocates its segment: the items from ``first``
-    to ``last`` (arc partners), or a handle block as ``_handles`` finds it.
+    A rotation needs an arc of exactly two items and integer amounts ``k1`` and
+    ``k2`` (negative ones rotate backwards).  A boundary or handle move
+    relocates its segment: the items from ``first`` to ``last`` (arc
+    partners), or a handle block as ``_handles`` finds it.
     """
     if isinstance(move, RotateMove):
-        x, y = move.arc
+        try:
+            x, y = move.arc
+        except (TypeError, ValueError):
+            raise ValueError(f"arc must be a pair of tokens, got {move.arc!r}") from None
+        # a bool is an int to Python, but never a rotation amount
+        if type(move.k1) is not int:
+            raise ValueError(f"k1 must be an integer, got {move.k1!r}")
+        if type(move.k2) is not int:
+            raise ValueError(f"k2 must be an integer, got {move.k2!r}")
         _require_arc(d, x, y)
         s1, s2 = _sides(d, x, y)
         return ChordDiagram._of((x,) + _rot(s1, move.k1) + (y,) + _rot(s2, move.k2), d.arcs)

@@ -1,9 +1,12 @@
 """Targets, induced maps, axiom and morphism checkers."""
 
+import gc
 import random
 import re
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -14,6 +17,7 @@ from surfops import laws
 from surfops.census import enumerate_cyclic_words, enumerate_surfaces, label_subsets, random_diagram
 from surfops.diagram import evaluate
 from surfops.laws import (
+    AXIOM_FAMILIES,
     SurfaceTarget,
     Target,
     TerminalElement,
@@ -519,3 +523,163 @@ def test_rename_postcondition_holds_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "bookkeeping broke under rename: got point({}; grade 0)\n"
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive sweep computes each distinct operation once per family
+
+
+def laws_pool():
+    """The benchmark's laws pool: every surface on at most 4 labels with genus 0."""
+    return small_family(4, 0)
+
+
+class CountingTarget(SurfaceTarget):
+    """Surfaces acting on themselves, counting each call by operation and operands."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def rename(self, x, renaming):
+        self.calls["rename", x, renaming.pairs] += 1
+        return super().rename(x, renaming)
+
+    def compose(self, x, a, y, b):
+        self.calls["compose", x, a, y, b] += 1
+        return super().compose(x, a, y, b)
+
+    def contract(self, x, a, b):
+        self.calls["contract", x, a, b] += 1
+        return super().contract(x, a, b)
+
+
+class RefusesToGlueAt2(CountingTarget):
+    """A compose that rejects the left label 2: every instance reaching such a call fails."""
+
+    def compose(self, x, a, y, b):
+        if a == "2":
+            self.calls["compose", x, a, y, b] += 1
+            raise ValueError("no gluing at 2")
+        return super().compose(x, a, y, b)
+
+
+def _one_family(monkeypatch, family):
+    monkeypatch.setattr(laws, "_AXIOMS", {family: laws._AXIOMS[family]})
+
+
+# Target calls per family in one sweep of the laws pool: one per distinct (operation, operands).
+LAWS_POOL_CALLS = {
+    "compose_symmetry": 348,
+    "rename_functoriality": 2862,
+    "compose_equivariance": 2614,
+    "contract_equivariance": 3658,
+    "contract_commutativity": 198,
+    "contract_compose_exchange": 132,
+    "contract_factor_left": 216,
+    "contract_factor_right": 216,
+    "compose_associativity": 132,
+}
+
+
+def test_exhaustive_sweep_calls_the_target_once_per_distinct_operation(monkeypatch):
+    pool = laws_pool()
+    whole = CountingTarget()
+    report = check_axioms(whole, pool)
+    assert report.passed and report.total_checked == 43959
+    assert sum(whole.calls.values()) == sum(LAWS_POOL_CALLS.values()) == 10376
+    assert len(whole.calls) == 6967  # the same operation may recur in another family
+    calls = {}
+    for family in AXIOM_FAMILIES:
+        with monkeypatch.context() as m:
+            _one_family(m, family)
+            target = CountingTarget()
+            check_axioms(target, pool)
+        assert set(target.calls.values()) == {1}, family
+        calls[family] = len(target.calls)
+    assert calls == LAWS_POOL_CALLS
+
+
+def test_random_driver_calls_the_target_for_every_operation_asked(monkeypatch):
+    asked = Counter()
+
+    class CountingSession(laws._Session):
+        def rename(self, x, renaming):
+            asked["rename"] += 1
+            return super().rename(x, renaming)
+
+        def compose(self, x, a, y, b):
+            asked["compose"] += 1
+            return super().compose(x, a, y, b)
+
+        def contract(self, x, a, b):
+            asked["contract"] += 1
+            return super().contract(x, a, b)
+
+    monkeypatch.setattr(laws, "_Session", CountingSession)
+    target = CountingTarget()
+    # one label per element: half the compose_equivariance instances rename both sides by the identity,
+    # so their two sides ask for the same compose
+    report = check_axioms_random(target, surface_sampler(max_labels=1, max_g=1), 270, random.Random(23))
+    assert report.passed and report.total_checked == 270
+    assert sum(target.calls.values()) == asked.total() > 1000
+    assert max(target.calls.values()) > 1
+
+
+def test_merge_mutant_failures_per_family_on_the_laws_pool():
+    # NoGenusBump is acceptance criterion 9's merge mutant: a merging contraction without its genus step
+    report = check_axioms(NoGenusBump(), laws_pool())
+    assert {name: f.failures for name, f in report.families.items() if f.failures} == {
+        "contract_equivariance": 3912,
+        "contract_commutativity": 114,
+        "contract_compose_exchange": 72,
+        "contract_factor_left": 36,
+        "contract_factor_right": 36,
+    }
+    assert report.total_checked == 43959 and list(report.families) == list(AXIOM_FAMILIES)
+
+
+def test_a_rejected_operation_fails_every_instance_that_reaches_it(monkeypatch):
+    pool = laws_pool()
+    report = check_axioms(RefusesToGlueAt2(), pool)
+    assert {name: (f.checked, f.failures) for name, f in report.families.items() if f.failures} == {
+        "compose_symmetry": (348, 174),
+        "compose_equivariance": (5808, 1716),
+        "contract_compose_exchange": (96, 48),
+        "contract_factor_left": (72, 18),
+        "contract_factor_right": (72, 18),
+        "compose_associativity": (48, 24),
+    }
+    # compose_symmetry's instances with 2 on either side, counted from the pool alone
+    reaching = sum("2" in (a, b) for x in pool for y in pool if x.labels and y.labels and not x.labels & y.labels
+                   for a in x.labels for b in y.labels)
+    assert report.families["compose_symmetry"].failures == reaching == 174
+    # a refused compose fails its own instance's left side and its mirror instance's right side,
+    # and the target is asked both times
+    _one_family(monkeypatch, "compose_symmetry")
+    target = RefusesToGlueAt2()
+    check_axioms(target, pool)
+    refused = [n for key, n in target.calls.items() if key[2] == "2"]
+    assert len(refused) == 87 and set(refused) == {2}
+
+
+def test_exhaustive_sweep_keeps_no_result():
+    outputs = []
+
+    class Watched(SurfaceTarget):
+        def rename(self, x, renaming):
+            return self.watch(super().rename(x, renaming))
+
+        def compose(self, x, a, y, b):
+            return self.watch(super().compose(x, a, y, b))
+
+        def contract(self, x, a, b):
+            return self.watch(super().contract(x, a, b))
+
+        def watch(self, out):
+            outputs.append(weakref.ref(out))
+            return out
+
+    report = check_axioms(Watched(), small_family(3, 1))
+    assert report.passed and len(outputs) > 1000
+    gc.collect()
+    assert [ref for ref in outputs if ref() is not None] == []

@@ -41,6 +41,12 @@ def test_rotate_composes():
     assert once == at_once
 
 
+def test_rotate_by_negative_amounts_inverts():
+    d = ChordDiagram.parse("[ p q r #1 s t #2 ; (#1 #2) ]")
+    there = apply_move(d, RotateMove(("#1", "#2"), 1, 2))
+    assert apply_move(there, RotateMove(("#1", "#2"), -1, -2)) == d
+
+
 def test_rotate_with_crossing_arc():
     # the unchosen arc crosses the pivot; rotation must still preserve the value
     d = ChordDiagram.parse("[ #1 a #3 b #4 #2 ; (#3 #4) (#1 #2) ]")
@@ -257,6 +263,14 @@ NO_POINT = "^an insertion point is required when items remain outside the segmen
      "^tokens #1 a #2 b are not a handle block of the diagram$"),
     (ONE_ARC, ("#1", "#2"), TypeError, r"^not a move: \('#1', '#2'\)$"),
     (ONE_ARC, None, TypeError, "^not a move: None$"),
+    (ONE_ARC, RotateMove(("#1", "#2", "a"), 0, 1), ValueError,
+     r"^arc must be a pair of tokens, got \('#1', '#2', 'a'\)$"),
+    (ONE_ARC, RotateMove(("#1",), 0, 1), ValueError, r"^arc must be a pair of tokens, got \('#1',\)$"),
+    (ONE_ARC, RotateMove(None, 0, 1), ValueError, "^arc must be a pair of tokens, got None$"),
+    (ONE_ARC, RotateMove(("#1", "#2"), True, 0), ValueError, "^k1 must be an integer, got True$"),
+    (ONE_ARC, RotateMove(("#1", "#2"), "x", 0), ValueError, "^k1 must be an integer, got 'x'$"),
+    (ONE_ARC, RotateMove(("#1", "#2"), 0, 2.5), ValueError, r"^k2 must be an integer, got 2\.5$"),
+    (ONE_ARC, RotateMove(("#1", "#2"), 1, False), ValueError, "^k2 must be an integer, got False$"),
 ])
 def test_apply_move_refusals(d, move, error, match):
     with pytest.raises(error, match=match):
