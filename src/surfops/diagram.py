@@ -42,8 +42,11 @@ class ChordDiagram(_Value):
         rank = {item: (len(item), item) for item in items if item.startswith("#")}
         matched: set[str] = set()
         oriented: list[Arc] = []
-        for n, (x, y) in enumerate(map(_items, arcs)):
-            for at, t in enumerate((x, y), len(items) + 2 * n):
+        for n, arc in enumerate(map(_items, arcs)):
+            if len(arc) != 2:
+                raise _ItemError(f"arc must be a pair of tokens, got {arc!r}", len(items) + 2 * n)
+            x, y = arc
+            for at, t in enumerate(arc, len(items) + 2 * n):
                 if not isinstance(t, str) or t not in rank:
                     glue_like = isinstance(t, str) and t.startswith("#")
                     raise _ItemError(f"arc token {t} does not occur in the base" if glue_like

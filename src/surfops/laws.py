@@ -1,8 +1,8 @@
 """Law checking: value targets, induced maps, and axiom/morphism verdicts.
 
 A target writes three operations (renaming, end-to-end composition, and
-same-element contraction) with the usual label and grade bookkeeping, and may
-override how a value's labels and grade are read.  The checkers run named
+same-element contraction) with the usual label and grade bookkeeping; its
+values carry their own ``labels`` and ``grade``.  The checkers run named
 instance families against a target and report per-family counts with the
 first counterexample kept verbatim.  ``evaluate_expression`` is the one arc
 fold, extending an inclusion of words to any diagram; ``diagram.evaluate``
@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, islice, permutations, product
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from . import census
@@ -44,11 +44,11 @@ from .words import CyclicWord, Renaming, _require_count, splice
 class Target(ABC):
     """Operations a value domain must provide to receive induced maps.
 
-    A target writes ``rename``, ``compose`` and ``contract``; ``labels_of`` and
-    ``grade_of`` read ``x.labels`` and ``x.grade`` unless a target overrides them.
-    Values are hashable, and each operation is a function of its operands'
-    values: equal operands give equal results, or the same refusal.
-    ``check_axioms`` relies on this to compute each distinct operation once.
+    A target writes ``rename``, ``compose`` and ``contract``.  Its values carry
+    ``labels`` (a frozenset of marked points) and ``grade`` (2g + b - 1), are
+    hashable, and each operation is a function of its operands' values: equal
+    operands give equal results, or the same refusal.  ``check_axioms`` relies
+    on this to compute each distinct operation once.
     """
 
     name: str = "target"
@@ -64,12 +64,6 @@ class Target(ABC):
     @abstractmethod
     def contract(self, x, a: str, b: str):
         ...
-
-    def labels_of(self, x) -> frozenset[str]:
-        return x.labels
-
-    def grade_of(self, x) -> int:
-        return x.grade
 
 
 class SurfaceTarget(Target):
@@ -266,25 +260,19 @@ class _Session:
         self.report = report
 
     def _kept(self, op: str, out, labels: frozenset[str], grade: int):
-        if self.t.labels_of(out) != labels or self.t.grade_of(out) != grade:
+        if out.labels != labels or out.grade != grade:
             raise _LawViolation(f"bookkeeping broke under {op}: got {out}")
         return out
 
     def rename(self, x, renaming: Renaming):
-        t = self.t
-        labels, grade = t.labels_of(x), t.grade_of(x)
-        out = t.rename(x, renaming)
-        return self._kept("rename", out, frozenset(map(renaming, labels)), grade)
+        return self._kept("rename", self.t.rename(x, renaming), frozenset(map(renaming, x.labels)), x.grade)
 
     def compose(self, x, a: str, y, b: str):
-        t = self.t
-        labels = (t.labels_of(x) - {a}) | (t.labels_of(y) - {b})
-        return self._kept("compose", t.compose(x, a, y, b), labels, t.grade_of(x) + t.grade_of(y))
+        labels = (x.labels - {a}) | (y.labels - {b})
+        return self._kept("compose", self.t.compose(x, a, y, b), labels, x.grade + y.grade)
 
     def contract(self, x, a: str, b: str):
-        t = self.t
-        labels = t.labels_of(x) - {a, b}
-        return self._kept("contract", t.contract(x, a, b), labels, t.grade_of(x) + 1)
+        return self._kept("contract", self.t.contract(x, a, b), x.labels - {a, b}, x.grade + 1)
 
     def run(self, family: str, instances: Iterable[tuple[_Law, tuple]], budget: int | None = None) -> None:
         """Check the first ``budget`` (all, if None) ``(law, args)`` instances of ``family``."""
@@ -362,12 +350,11 @@ def _fresh_names(n: int, avoid: frozenset[str], tag: str) -> list[str]:
 class _AllChoices:
     """Every option at each choice point, over a fixed pool of elements."""
 
-    def __init__(self, labels_of: Callable[[object], frozenset[str]], elements: list):
-        self.labels_of = labels_of
+    def __init__(self, elements: list):
         self.pool = elements
         self.groups: dict[frozenset[str], list] = {}
         for x in elements:
-            self.groups.setdefault(labels_of(x), []).append(x)
+            self.groups.setdefault(x.labels, []).append(x)
         self.sets = sorted(self.groups, key=lambda ls: (len(ls), sorted(ls)))
         self.all_labels = frozenset().union(*self.groups)
         self._renamings: dict[tuple, tuple[Renaming, ...]] = {}
@@ -379,7 +366,7 @@ class _AllChoices:
         over its label sets in (size, labels) order, then over their elements.
         """
         if len(min_labels) == 1:
-            return ((x,) for x in self.pool if len(self.labels_of(x)) >= min_labels[0])
+            return ((x,) for x in self.pool if len(x.labels) >= min_labels[0])
         return (xs for sets in self._disjoint_sets(frozenset(), min_labels)
                 for xs in product(*(self.groups[ls] for ls in sets)))
 
@@ -393,10 +380,10 @@ class _AllChoices:
                     yield (ls, *rest)
 
     def label(self, x):
-        return sorted(self.labels_of(x))
+        return sorted(x.labels)
 
     def label_pairs(self, x, excluded: frozenset[str] = frozenset(), ordered: bool = False):
-        return (permutations if ordered else combinations)(sorted(self.labels_of(x) - excluded), 2)
+        return (permutations if ordered else combinations)(sorted(x.labels - excluded), 2)
 
     def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
         """Bijections from ``labels`` onto itself (unless ``fresh_only``), then onto fresh names.
@@ -424,22 +411,21 @@ class _RandomChoices:
     onto fresh names with even odds, whatever restricts the exhaustive options.
     """
 
-    def __init__(self, labels_of: Callable[[object], frozenset[str]], sampler, rng: random.Random):
-        self.labels_of = labels_of
+    def __init__(self, sampler, rng: random.Random):
         self.sampler = sampler
         self.rng = rng
 
     def elements(self, *min_labels: int):
         xs: list = []
         for n in min_labels:
-            xs.append(self.sampler(self.rng, frozenset().union(*map(self.labels_of, xs)), n))
+            xs.append(self.sampler(self.rng, frozenset().union(*(x.labels for x in xs)), n))
         return [tuple(xs)]
 
     def label(self, x):
-        return [self.rng.choice(sorted(self.labels_of(x)))]
+        return [self.rng.choice(sorted(x.labels))]
 
     def label_pairs(self, x, excluded: frozenset[str] = frozenset(), ordered: bool = False):
-        return [tuple(self.rng.sample(sorted(self.labels_of(x) - excluded), 2))]
+        return [tuple(self.rng.sample(sorted(x.labels - excluded), 2))]
 
     def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
         src = sorted(labels)
@@ -484,7 +470,7 @@ def _compose_symmetry(ch, law):
 )
 def _rename_functoriality(ch, identity_law, composition_law):
     for (x,) in ch.elements(0):
-        lx = ch.labels_of(x)
+        lx = x.labels
         for identity in ch.branch(0.2):
             if identity:
                 yield identity_law, (x, Renaming.identity(lx))
@@ -496,11 +482,11 @@ def _rename_functoriality(ch, identity_law, composition_law):
 
 @_axiom("compose_equivariance", _Law("x a y b rho sigma", lambda s, x, a, y, b, rho, sigma: (
     s.rename(s.compose(x, a, y, b),
-             rho.restrict(s.t.labels_of(x) - {a}).union(sigma.restrict(s.t.labels_of(y) - {b}))),
+             rho.restrict(x.labels - {a}).union(sigma.restrict(y.labels - {b}))),
     s.compose(s.rename(x, rho), rho(a), s.rename(y, sigma), sigma(b)))))
 def _compose_equivariance(ch, law):
     for x, y in ch.elements(1, 1):
-        lx, ly = ch.labels_of(x), ch.labels_of(y)
+        lx, ly = x.labels, y.labels
         for a in ch.label(x):
             for b in ch.label(y):
                 for rho in ch.renamings(lx, lx | ly, "u"):
@@ -509,11 +495,11 @@ def _compose_equivariance(ch, law):
 
 
 @_axiom("contract_equivariance", _Law("x a b rho", lambda s, x, a, b, rho: (
-    s.rename(s.contract(x, a, b), rho.restrict(s.t.labels_of(x) - {a, b})),
+    s.rename(s.contract(x, a, b), rho.restrict(x.labels - {a, b})),
     s.contract(s.rename(x, rho), rho(a), rho(b)))))
 def _contract_equivariance(ch, law):
     for (x,) in ch.elements(2):
-        lx = ch.labels_of(x)
+        lx = x.labels
         for a, b in ch.label_pairs(x):
             for rho in ch.renamings(lx, lx, "u"):
                 yield law, (x, a, b, rho)
@@ -580,7 +566,7 @@ def check_axioms(target: Target, elements: Iterable, budget: int | None = None) 
     computed once, and nothing is kept from one family to the next.
     """
     report = LawReport(f"axiom check against target '{target.name}'")
-    choices = _AllChoices(target.labels_of, list(elements))
+    choices = _AllChoices(list(elements))
     for family, generate in _AXIOMS.items():
         _SharingSession(target, report).run(family, generate(choices), budget)
     return report
@@ -605,9 +591,9 @@ def surface_sampler(max_labels: int = 6, max_g: int = 3, max_extra_empty: int = 
     return _sampler(max_labels, lambda rng, labels: census.random_surface(rng, labels, max_g, max_extra_empty))
 
 
-def terminal_sampler(max_labels: int = 6, max_grade: int = 6):
-    """Sampler of terminal-target elements for the randomized axiom driver."""
-    return _sampler(max_labels, lambda rng, labels: TerminalElement(frozenset(labels), rng.randint(0, max_grade)))
+def terminal_sampler():
+    """Sampler of terminal-target elements on at most 6 labels, grade at most 6, for the randomized axiom driver."""
+    return _sampler(6, lambda rng, labels: TerminalElement(frozenset(labels), rng.randint(0, 6)))
 
 
 def check_axioms_random(target: Target, sampler, count: int, rng: random.Random) -> LawReport:
@@ -620,7 +606,7 @@ def check_axioms_random(target: Target, sampler, count: int, rng: random.Random)
     _require_count(count, "count", 0, "count must be nonnegative")
     s = _Session(target, LawReport(f"randomized axiom check against target '{target.name}'",
                                    {name: FamilyResult() for name in AXIOM_FAMILIES}))
-    choices = _RandomChoices(target.labels_of, sampler, rng)
+    choices = _RandomChoices(sampler, rng)
     for i in range(count):
         family = AXIOM_FAMILIES[i % len(AXIOM_FAMILIES)]
         s.run(family, _AXIOMS[family](choices))
@@ -634,7 +620,7 @@ def check_axioms_random(target: Target, sampler, count: int, rng: random.Random)
 def _renamed(ch, law):
     """Each element under each renaming of its labels, onto permuted and onto fresh names."""
     for (x,) in ch.elements(0):
-        lx = ch.labels_of(x)
+        lx = x.labels
         for rho in ch.renamings(lx, lx, "u"):
             yield law, (x, rho)
 
@@ -646,9 +632,8 @@ def check_cyclic_morphism(
     budget: int | None = None,
 ) -> LawReport:
     """Verify that ``include`` carries cyclic words into the target lawfully."""
-    ch = _AllChoices(attrgetter("labels"), list(words))
-    component = _Law("w", lambda s, w: (
-        (target.labels_of(include(w)), target.grade_of(include(w))), (w.labels, 0)))
+    ch = _AllChoices(list(words))
+    component = _Law("w", lambda s, w: ((include(w).labels, include(w).grade), (w.labels, 0)))
     spliced = _Law("x a y b", lambda s, x, a, y, b: (
         include(splice(x, a, y, b)), s.compose(include(x), a, include(y), b)))
     renamed = _Law("w rho", lambda s, w, rho: (include(w.rename(rho)), s.rename(include(w), rho)))
@@ -667,9 +652,9 @@ def check_modular_morphism(
     budget: int | None = None,
 ) -> LawReport:
     """Verify the induced surface-level map respects every operation."""
-    ch = _AllChoices(attrgetter("labels"), list(surfaces))
+    ch = _AllChoices(list(surfaces))
     F = cache(lambda q: induce(target, include, q))
-    signature = _Law("q", lambda s, q: ((target.labels_of(F(q)), target.grade_of(F(q))), (q.labels, q.grade)))
+    signature = _Law("q", lambda s, q: ((F(q).labels, F(q).grade), (q.labels, q.grade)))
     renamed = _Law("q rho", lambda s, q, rho: (F(q.rename(rho)), s.rename(F(q), rho)))
     composed = _Law("q1 a q2 b", lambda s, q1, a, q2, b: (
         F(compose(q1, a, q2, b)), s.compose(F(q1), a, F(q2), b)))

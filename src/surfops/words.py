@@ -118,7 +118,11 @@ class Renaming(_Value):
 
     def __init__(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]]) -> None:
         items = mapping.items() if isinstance(mapping, Mapping) else list(mapping)
-        pairs = tuple(sorted((src, dst) for src, dst in map(_items, items)))
+        pairs = tuple(map(_items, items))
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ValueError(f"a renaming pair is (old, new), got {pair!r}")
+        pairs = tuple(sorted(pairs))
         _check_items([src for src, _ in pairs], "renaming maps some label twice", check_label)
         _check_items([dst for _, dst in pairs], "renaming is not injective", check_label)
         self._build(pairs)

@@ -10,7 +10,7 @@ from oracles import genus_boundary_of_matching
 from surfops.census import enumerate_matchings, random_diagram
 from surfops.diagram import ChordDiagram, evaluate, render_dot
 from surfops.laws import SurfaceTarget, evaluate_expression
-from surfops.lexer import ParseError
+from surfops.lexer import ParseError, _ItemError
 from surfops.surface import Surface, self_glue, to_surface
 from surfops.words import CyclicWord
 
@@ -183,6 +183,16 @@ def test_render_dot_escapes_quotes_and_backslashes():
 def test_render_dot_degenerate():
     assert "graph" in render_dot(ChordDiagram((), ()))
     assert render_dot(ChordDiagram(("x",), ()))
+    # a two-item ring is one edge, not the same edge drawn twice
+    assert render_dot(ChordDiagram.parse("[ #1 #2 ; (#1 #2) ]")) == """\
+graph diagram {
+  layout=circo;
+  n0 [label="#1", shape=point];
+  n1 [label="#2", shape=point];
+  n0 -- n1;
+  n0 -- n1 [constraint=false, style=dashed];
+}
+"""
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
@@ -206,7 +216,13 @@ def test_constructor_errors_take_the_parser_wording():
         ((("#1", "#2", "#3"), [("#1", "#2")]), "token #3 is never matched by an arc"),
         ((("a", "#1"), [("a", "#1")]), "arcs join glue tokens, got \\('a' '#1'\\)"),
         ((("#1", "#2"), [(["#1"], "#2")]), "arcs join glue tokens, got \\(\\['#1'\\] '#2'\\)"),
+        ((("#1", "#2"), [("#1", "#2", "#3")]), "^arc must be a pair of tokens, got \\('#1', '#2', '#3'\\)$"),
+        ((("#1", "#2"), [("#1",)]), "^arc must be a pair of tokens, got \\('#1',\\)$"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError, match=message):
             ChordDiagram(*args)
+    # a malformed arc is reported at its first endpoint's index, after the base items
+    with pytest.raises(_ItemError) as info:
+        ChordDiagram(("#1", "#2", "#3", "#4"), [("#1", "#2"), ("#3",)])
+    assert info.value.index == 4 + 2 * 1

@@ -1,7 +1,7 @@
 """Source rules for the package: invariants survive ``python -O``, the oracles stay independent
 (in both directions), modules import one another only downward, each public name is declared
-once, in its module's ``__all__``, and the sources parse on the oldest Python that
-``pyproject.toml`` admits."""
+once, in its module's ``__all__``, every import is used, and the sources parse on the oldest
+Python that ``pyproject.toml`` admits."""
 
 import ast
 import importlib
@@ -131,6 +131,27 @@ def test_package_all_joins_the_module_lists():
     (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
     assert [ast.literal_eval(elt) for elt in value.elts if not isinstance(elt, ast.Starred)] == ["__version__"]
+
+
+def _bound_names(node: ast.AST) -> list[str]:
+    """The names an import statement binds; ``__future__`` and star imports bind none to check."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    return []
+
+
+def test_every_import_is_used():
+    found = []
+    for name, tree in _trees():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+        used |= {elt.value for value in exported for elt in value.elts if isinstance(elt, ast.Constant)}
+        found += [f"{name}:{node.lineno} {bound}" for node in ast.walk(tree)
+                  for bound in _bound_names(node) if bound not in used]
+    assert found == [], f"imports that nothing in the module reads: {found}"
 
 
 def test_sources_parse_on_the_declared_python_floor():

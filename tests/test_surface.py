@@ -146,6 +146,9 @@ def test_from_json_string_cycle():
 def test_from_json_non_string_label():
     with pytest.raises(ParseError):
         Surface.from_json({"cycles": [["a", 1]], "g": 0})
+    # an empty string passes the JSON shape check, and the label check refuses it
+    with pytest.raises(ValueError, match="^labels are nonempty strings, got ''$"):
+        Surface.from_json({"cycles": [[""]], "g": 0})
 
 
 def test_from_json_refuses_glue_tokens():

@@ -115,6 +115,12 @@ def test_renaming_validation():
     for glued in [{"a": "#1", "b": "c"}, {"#1": "a"}]:  # glue tokens are not labels, on either side
         with pytest.raises(ValueError, match="reserved character '#'"):
             Renaming(glued)
+    for pairs, shown in [([("a", "b", "c")], r"\('a', 'b', 'c'\)"), ([("a",)], r"\('a',\)")]:
+        with pytest.raises(ValueError, match=f"^a renaming pair is \\(old, new\\), got {shown}$"):
+            Renaming(pairs)
+    for empty in [{"": "a"}, {"a": ""}]:
+        with pytest.raises(ValueError, match="^labels are nonempty strings, got ''$"):
+            Renaming(empty)
     r = Renaming({"a": "x", "b": "y"})
     assert r("a") == "x"
     assert r.restrict(["a"]).domain == frozenset({"a"})
