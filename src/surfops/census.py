@@ -3,21 +3,20 @@
 Exhaustive streams are emitted in a documented deterministic order: surfaces
 ordered by (genus, canonical text), matchings ordered by their arc lists.
 The genus table tabulates, for all perfect matchings on 2n points around a
-circle, the genus of the evaluated surface.  It counts faces on integer
-pairings (``partner[p]``, the point matched to ``p``) and builds no diagram
-or surface; ``enumerate_matchings`` builds the diagrams from the same
-pairings.
+circle, the genus of the evaluated surface.  Those counts are the
+Harer-Zagier numbers, and the table computes them by their exact integer
+recursion, enumerating nothing; ``enumerate_matchings`` builds the diagrams
+themselves, from integer pairings (``partner[p]``, the point matched to ``p``).
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import chain, combinations, permutations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .diagram import ChordDiagram, _genus
+from .diagram import ChordDiagram
 from .surface import Surface
 from .words import CyclicWord, _require_count, check_label, glue
 
@@ -89,18 +88,18 @@ def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:
     )
 
 
-_MAX_CHORDS = 9  # n = 9 is 34 459 425 matchings; n = 10 would be 654 729 075
+_MAX_CHORDS = 1000  # (2n-1)!! has 2 867 digits, inside Python's default 4 300-digit int-to-text limit (text and JSON)
 _MAX_DIAGRAMS = 7  # enumerate_matchings keeps them all: n = 7 is 135 135, about 100 MiB; n = 8 would be 2 027 025
 
 
-def _require_chords(n: int, limit: int, what: str) -> None:
-    """Refuse an ``n`` that is not a nonnegative int, and one past ``limit``: (2n-1)!! grows factorially."""
+def _require_chords(n: int) -> None:
+    """Refuse an ``n`` that is not a nonnegative int, and one past ``_MAX_DIAGRAMS``: (2n-1)!! grows factorially."""
     _require_count(n, "n", 0, "n must be nonnegative")
-    if n > limit:
+    if n > _MAX_DIAGRAMS:
         count = prod(range(1, 2 * min(n, 50), 2))  # exact up to n = 50, a lower bound past it
         size = count if n <= 50 else f"more than {count:.1e}"
-        raise ValueError(f"{what} of n = {n} chords would enumerate (2n-1)!! = {size} matchings; "
-                         f"it is limited to n <= {limit}")
+        raise ValueError(f"the diagram list of n = {n} chords would enumerate (2n-1)!! = {size} matchings; "
+                         f"it is limited to n <= {_MAX_DIAGRAMS}")
 
 
 def _partner_arrays(m: int) -> Iterator[list[int]]:
@@ -128,27 +127,9 @@ def _partner_arrays(m: int) -> Iterator[list[int]]:
     return fill(0)
 
 
-def _face_count(partner: list[int]) -> int:
-    """The faces of a matching: orbits of ``p -> partner[p] + 1 (mod m)``; no points are one face."""
-    m = len(partner)
-    seen = [False] * m
-    faces = 0
-    for start in range(m):
-        if seen[start]:
-            continue
-        faces += 1
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = partner[p] + 1
-            if p == m:
-                p = 0
-    return faces or 1
-
-
 def enumerate_matchings(n: int) -> list[ChordDiagram]:
     """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching, sorted by arcs, for 0 <= n <= 7."""
-    _require_chords(n, _MAX_DIAGRAMS, "the diagram list")
+    _require_chords(n)
     base = tuple(glue(k) for k in range(1, 2 * n + 1))
     # each arc starts at its lower point, in increasing order: canonical arcs
     diagrams = (ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
@@ -157,15 +138,28 @@ def enumerate_matchings(n: int) -> list[ChordDiagram]:
 
 
 def genus_distribution(n: int) -> dict[int, int]:
-    """Counts of genus over all (2n-1)!! perfect matchings on 2n points, for 0 <= n <= 9.
+    """Counts of genus over all (2n-1)!! perfect matchings on 2n points, for 0 <= n <= 1000.
 
-    The census counts faces on integer pairings and builds no diagram or
-    surface; n arcs with f faces have the genus ``diagram._genus(n, f)``.
-    Larger n is a ValueError, because the count (2n-1)!! grows factorially.
+    These are the Harer-Zagier numbers eps_g(n) (Harer & Zagier, Invent. Math.
+    85, 1986), computed by their exact recursion from eps_0(0) = 1:
+    (k+1) eps_g(k) = (4k-2) eps_g(k-1) + (k-1)(2k-1)(2k-3) eps_{g-1}(k-2).
+    Nothing is enumerated.  Larger n is a ValueError (see ``_MAX_CHORDS``).
     """
-    _require_chords(n, _MAX_CHORDS, "the census")
-    by_faces = Counter(_face_count(partner) for partner in _partner_arrays(2 * n))
-    return dict(sorted((_genus(n, faces), count) for faces, count in by_faces.items()))
+    _require_count(n, "n", 0, "n must be nonnegative")
+    if n > _MAX_CHORDS:
+        raise ValueError(f"the census of n = {n} chords is limited to n <= {_MAX_CHORDS}, which keeps its total "
+                         f"(2n-1)!! inside Python's 4300-digit limit for printing an int")
+    older, old = [], [1]  # eps_g(k-2) and eps_g(k-1), by genus g
+    for k in range(1, n + 1):
+        row = []
+        # [0] + older has k//2 + 1 entries, one per genus of k chords, so zip stops there
+        for g, (same, fewer) in enumerate(zip(old + [0], [0] + older)):
+            count, rest = divmod((4 * k - 2) * same + (k - 1) * (2 * k - 1) * (2 * k - 3) * fewer, k + 1)
+            if rest:
+                raise AssertionError(f"eps_{g}({k}) is not an integer: {k + 1} leaves {rest}")
+            row.append(count)
+        older, old = old, row
+    return dict(enumerate(old))
 
 
 def distribution_rows(dist: dict[int, int]) -> str:

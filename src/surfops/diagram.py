@@ -9,9 +9,9 @@ depend on the order in which the arcs are glued.
 band per arc, a one-vertex ribbon graph.  ``_partner`` reads it as one array
 over base positions (the moves' handle test reads it too, and the census's
 matchings share its convention).  The faces are the orbits of
-``p -> partner[p] + 1``, and ``_genus`` is the one Euler step, here and in the
-census.  The arc fold itself (include the base word, then contract each arc
-in turn) is ``laws.evaluate_expression``.
+``p -> partner[p] + 1``, and ``_genus`` is the Euler step.  The arc fold
+itself (include the base word, then contract each arc in turn) is
+``laws.evaluate_expression``.
 
 ``ChordDiagram(...)`` checks base and arcs, and ``parse`` goes through it.
 Diagrams derived from valid ones (moves, layouts, matchings) skip the check.

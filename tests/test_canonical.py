@@ -95,6 +95,21 @@ def test_glue_token_labels_are_refused(q, label):
             present(q)
 
 
+def test_grade_is_limited_before_building(monkeypatch):
+    monkeypatch.setattr(canonical, "_build", lambda genus, order: "built")
+    at_limit = Surface([("a",)], 100_000)  # grade 200 000
+    assert (canonical_diagram(at_limit), all_canonical_diagrams(at_limit)) == ("built", ["built"])
+
+    def refuse(genus, order):
+        raise AssertionError("the refused surface was laid out")
+
+    monkeypatch.setattr(canonical, "_build", refuse)
+    for present in (canonical_diagram, all_canonical_diagrams):
+        with pytest.raises(ValueError, match="^the surface has grade 200001; "
+                                             "a canonical presentation is limited to 200000 arcs$"):
+            present(Surface([("a",), ("b",)], 100_000))
+
+
 def test_glue_check_runs_once_per_surface(monkeypatch):
     calls = []
     monkeypatch.setattr(canonical, "is_glue", lambda item: calls.append(item) or False)

@@ -5,13 +5,13 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from math import comb
 
 import pytest
 
-from oracles import double_factorial_odd, oracle_distribution
+from oracles import catalan, double_factorial_odd, oracle_distribution
 from surfops import census
 from surfops.census import (
-    _face_count,
     _partner_arrays,
     cycle_decompositions,
     distribution_rows,
@@ -120,7 +120,6 @@ def test_one_partner_array_convention_for_the_census_and_the_tracer():
             partner = filled.copy()  # the generator fills one list in place
             d = ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
             assert _partner(d) == partner
-            assert _face_count(partner) == evaluate(d).boundary_count
 
 
 _EULER_UNDER_O = """
@@ -194,8 +193,6 @@ def test_distribution_equals_evaluated_matchings():
 
 
 def test_distribution_of_no_and_one_chord():
-    assert _face_count([]) == 1  # the empty base is one face
-    assert _face_count([1, 0]) == 2
     assert genus_distribution(0) == {0: 1}
     assert genus_distribution(1) == {0: 1}
     with pytest.raises(ValueError):
@@ -203,11 +200,37 @@ def test_distribution_of_no_and_one_chord():
 
 
 def test_distribution_is_limited():
-    for n in (10, 11, 10**12):
-        with pytest.raises(ValueError, match=r"\(2n-1\)!! = .* it is limited to n <= 9"):
+    for n in (1001, 1002, 10**12):
+        with pytest.raises(ValueError, match=f"^the census of n = {n} chords is limited to n <= 1000, which keeps "
+                                             r"its total \(2n-1\)!! inside Python's 4300-digit limit for printing "
+                                             "an int$"):
             genus_distribution(n)
-    with pytest.raises(ValueError, match="= 654729075 matchings"):
-        genus_distribution(10)
+
+
+def test_distribution_satisfies_the_generating_identity():
+    # Harer-Zagier: sum_g eps_g(n) N^(n+1-2g) = (2n-1)!! sum_{k=1..N} 2^(k-1) C(n, k-1) C(N, k)
+    for n in range(301):
+        dist = genus_distribution(n)
+        for big_n in range(1, 9):
+            lhs = sum(count * big_n ** (n + 1 - 2 * g) for g, count in dist.items())
+            rhs = double_factorial_odd(n) * sum(2 ** (k - 1) * comb(n, k - 1) * comb(big_n, k)
+                                                for k in range(1, big_n + 1))
+            assert lhs == rhs, (n, big_n)
+
+
+def test_distribution_at_the_limit():
+    dist = genus_distribution(1000)
+    assert list(dist) == list(range(501))
+    assert dist[0] == catalan(1000)
+    assert sum(dist.values()) == double_factorial_odd(1000)
+
+
+def test_distribution_enumerates_no_matching(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the census enumerated matchings")
+
+    monkeypatch.setattr(census, "_partner_arrays", refuse)
+    assert genus_distribution(9) == {0: 4862, 1: 291720, 2: 4390386, 3: 17454580, 4: 12317877}
 
 
 def test_distribution_builds_no_diagram_word_or_surface(monkeypatch):

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from oracles import double_factorial_odd
 from surfops.cli import build_parser, main
 
 
@@ -66,6 +67,17 @@ def test_canon_all_is_limited(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: the surface has 264539520 canonical presentations; "
                    "enumerating them is limited to 100000\n")
+
+
+@pytest.mark.parametrize("operand", ['{"cycles": [["a"]], "g": 99999999999999999999999}',
+                                     "{ ( a ) }^99999999999999999999999"])
+def test_canon_of_a_huge_genus_is_refused_at_once(capsys, operand):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "canon", operand)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the surface has grade 199999999999999999999998; "
+                   "a canonical presentation is limited to 200000 arcs\n")
 
 
 def test_canon_json(capsys):
@@ -231,10 +243,16 @@ def test_hz_table(capsys):
 
 
 def test_hz_table_census_limit(capsys):
-    code, out, err = run(capsys, "hz-table", "--chords", "10")
+    code, out, err = run(capsys, "hz-table", "--chords", "1001")
     assert (code, out) == (2, "")
-    assert err == ("error: the census of n = 10 chords would enumerate (2n-1)!! = 654729075 matchings; "
-                   "it is limited to n <= 9\n")
+    assert err == ("error: the census of n = 1001 chords is limited to n <= 1000, which keeps its total (2n-1)!! "
+                   "inside Python's 4300-digit limit for printing an int\n")
+
+
+def test_hz_table_at_the_census_limit(capsys):
+    code, out, _ = run(capsys, "hz-table", "--chords", "1000", "--json")
+    assert code == 0
+    assert json.loads(out)["total"] == double_factorial_odd(1000)
 
 
 def test_render(capsys):
