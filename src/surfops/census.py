@@ -7,14 +7,20 @@ circle, the genus of the evaluated surface.  Those counts are the
 Harer-Zagier numbers, and the table computes them by their exact integer
 recursion, enumerating nothing; ``enumerate_matchings`` builds the diagrams
 themselves, from integer pairings (``partner[p]``, the point matched to ``p``).
+
+The pools of ``check-axioms`` and ``check-envelope`` (every element on a
+subset of the labels "1" .. L, in ``label_subsets`` order) are built here:
+``surface_pool`` and ``word_pool``, and ``laws.terminal_pool`` through the
+same guard.  A pool on more than 6 labels, or of more than 1000 elements by
+its size formula, is a ValueError before anything is built.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import chain, combinations, permutations
-from math import prod
-from typing import Iterable, Iterator, Sequence
+from math import comb, factorial, prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import ChordDiagram
 from .surface import Surface
@@ -86,6 +92,54 @@ def enumerate_cyclic_words(labels: Iterable[str]) -> list[CyclicWord]:
         (CyclicWord._of(first + tail) for tail in permutations(rest)),
         key=lambda w: w.items,
     )
+
+
+# The sweeps over a pool grow much faster than the pool, so a pool is limited twice.
+# 1000 elements keeps the defaults running, with the acceptance pool (195 surfaces at 4 labels,
+# genus <= 2) and check-envelope at 5 labels, genus <= 2 (978 surfaces, 5-8 s on a 2-vCPU
+# host); 6 labels, genus <= 1 has 3914 surfaces and took 92 s there.
+# 6 labels, because the sweep grows factorially in the largest label set: rename_functoriality
+# alone checks 1 + 2 k!^2 instances per element on k labels.  The terminal pool on 6 labels,
+# genus 0 (128 elements) took 18.7 s there; on 7 labels its top two elements alone make about 1e8
+# instances, and on 8 labels it has only 512 elements, which the size limit would let through.
+_MAX_POOL = 1000
+_MAX_POOL_LABELS = 6
+
+
+def _pool(noun: str, max_labels: int, max_g: int, per_subset: Callable[[int], int],
+          build: Callable[[tuple[str, ...]], list]) -> list:
+    """``build(subset)`` for each of ``label_subsets(max_labels)``, joined in that order.
+
+    ``per_subset(k)`` is the length of ``build`` on k labels, so the pool's size is known, and
+    refused past ``_MAX_POOL`` elements or ``_MAX_POOL_LABELS`` labels, before anything is built.
+    """
+    _require_count(max_labels, "max_labels", 0, "max_labels must be nonnegative")
+    _require_count(max_g, "max_g", 0, "max_g must be nonnegative")
+    counted = min(max_labels, _MAX_POOL_LABELS + 1)  # exact up to the label limit, a lower bound past it
+    size = sum(comb(counted, k) * per_subset(k) for k in range(counted + 1))
+    if max_labels > _MAX_POOL_LABELS or size > _MAX_POOL:
+        shown = size if counted == max_labels else f"more than {size}"
+        raise ValueError(f"the {noun} would hold {shown} elements; pools are limited to {_MAX_POOL} elements "
+                         f"on at most {_MAX_POOL_LABELS} labels")
+    return [x for subset in label_subsets(max_labels) for x in build(subset)]
+
+
+def surface_pool(max_labels: int, max_g: int) -> list[Surface]:
+    """Every surface on a subset of the labels "1" .. ``max_labels`` with genus at most ``max_g``.
+
+    It holds sum_k C(L, k) k! (max_g + 1) surfaces, and is limited as ``_pool`` says.
+    """
+    return _pool(f"surface pool of max_labels = {max_labels}, max_g = {max_g}", max_labels, max_g,
+                 lambda k: factorial(k) * (max_g + 1), lambda subset: enumerate_surfaces(subset, max_g))
+
+
+def word_pool(max_labels: int) -> list[CyclicWord]:
+    """Every cyclic word on a subset of the labels "1" .. ``max_labels``.
+
+    It holds sum_k C(L, k) max(1, (k-1)!) words, and is limited as ``_pool`` says.
+    """
+    return _pool(f"word pool of max_labels = {max_labels}", max_labels, 0,  # words have no genus
+                 lambda k: factorial(max(k - 1, 0)), enumerate_cyclic_words)
 
 
 _MAX_CHORDS = 1000  # (2n-1)!! has 2 867 digits, inside Python's default 4 300-digit int-to-text limit (text and JSON)

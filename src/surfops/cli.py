@@ -18,17 +18,17 @@ import sys
 from typing import Sequence
 
 from .canonical import all_canonical_diagrams, canonical_diagram
-from .census import distribution_rows, enumerate_surfaces, genus_distribution, label_subsets
+from .census import _MAX_POOL, _MAX_POOL_LABELS, distribution_rows, genus_distribution, surface_pool
 from .diagram import ChordDiagram, evaluate, render_dot
 from .laws import (
     LawReport,
     SurfaceTarget,
-    TerminalElement,
     TerminalTarget,
     check_axioms,
     check_axioms_random,
     check_universal_property,
     surface_sampler,
+    terminal_pool,
     terminal_sampler,
 )
 from .lexer import ParseError, nonnegative_int
@@ -162,22 +162,10 @@ def cmd_equal(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     if args.target == "qo":
-        target = SurfaceTarget()
-        elements = [
-            q
-            for subset in label_subsets(args.max_labels)
-            for q in enumerate_surfaces(subset, args.max_g)
-        ]
-        sampler = surface_sampler(max_g=args.max_g)
+        target, pool, sampler = SurfaceTarget(), surface_pool, surface_sampler(max_g=args.max_g)
     else:
-        target = TerminalTarget()
-        elements = [
-            TerminalElement(frozenset(subset), g)
-            for subset in label_subsets(args.max_labels)
-            for g in range(2 * args.max_g + 2)
-        ]
-        sampler = terminal_sampler()
-    report = check_axioms(target, elements, budget=args.budget)
+        target, pool, sampler = TerminalTarget(), terminal_pool, terminal_sampler()
+    report = check_axioms(target, pool(args.max_labels, args.max_g), budget=args.budget)
     if args.random:
         report.absorb(check_axioms_random(target, sampler, args.random, random.Random(args.seed)))
     return _print_report(report, args.json)
@@ -250,12 +238,18 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=_nonnegative, default=4, help="certificate search depth (default 4)")
     p.set_defaults(handler=cmd_equal)
 
+    # the pool options of check-axioms and check-envelope
+    pool_help = f"the pool holds at most {_MAX_POOL} elements"
+    labels_help = f"size of the label universe, at most {_MAX_POOL_LABELS}; {pool_help}"
+    genus_help = f"largest genus in the element pool; {pool_help}"
+    budget_help = "cap instances per family"
+
     p = sub.add_parser("check-axioms", help="run the operation-law suite against a target")
     p.add_argument("--target", choices=["qo", "terminal"], default="qo",
                    help="qo = surfaces acting on themselves; terminal = signature collapse")
-    p.add_argument("--max-labels", type=_nonnegative, default=2, help="size of the label universe")
-    p.add_argument("--max-g", type=_nonnegative, default=1, help="largest genus in the element pool")
-    p.add_argument("--budget", type=_nonnegative, default=None, help="cap instances per family")
+    p.add_argument("--max-labels", type=_nonnegative, default=2, help=labels_help)
+    p.add_argument("--max-g", type=_nonnegative, default=1, help=genus_help)
+    p.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
     p.add_argument("--random", type=_nonnegative, default=0, metavar="N",
                    help="also run N randomized larger instances")
     p.add_argument("--seed", type=_seed, default=0)
@@ -263,9 +257,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_check_axioms)
 
     p = sub.add_parser("check-envelope", help="verify induced maps: existence, agreement, laws")
-    p.add_argument("--max-labels", type=_nonnegative, default=3)
-    p.add_argument("--max-g", type=_nonnegative, default=1)
-    p.add_argument("--budget", type=_nonnegative, default=None)
+    p.add_argument("--max-labels", type=_nonnegative, default=3, help=labels_help)
+    p.add_argument("--max-g", type=_nonnegative, default=1, help=genus_help)
+    p.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_check_envelope)
 

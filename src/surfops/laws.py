@@ -596,6 +596,16 @@ def terminal_sampler():
     return _sampler(6, lambda rng, labels: TerminalElement(frozenset(labels), rng.randint(0, 6)))
 
 
+def terminal_pool(max_labels: int, max_g: int) -> list[TerminalElement]:
+    """Terminal elements on each subset of the labels "1" .. ``max_labels``, each grade below 2 max_g + 2.
+
+    It holds 2^L (2 max_g + 2) elements, and is limited as ``census.surface_pool`` is.
+    """
+    return census._pool(f"terminal pool of max_labels = {max_labels}, max_g = {max_g}", max_labels, max_g,
+                        lambda k: 2 * max_g + 2,
+                        lambda subset: [TerminalElement(frozenset(subset), g) for g in range(2 * max_g + 2)])
+
+
 def check_axioms_random(target: Target, sampler, count: int, rng: random.Random) -> LawReport:
     """Run ``count`` randomized axiom instances, spread across the families.
 
@@ -702,11 +712,13 @@ def check_universal_property(max_labels: int = 3, max_g: int = 1, budget: int | 
     Runs, for both the surface target and the terminal target: agreement of
     all canonical expressions per surface, the cyclic-side morphism laws,
     and the surface-level morphism laws, over every surface on at most
-    ``max_labels`` labels with genus at most ``max_g``.
+    ``max_labels`` labels with genus at most ``max_g`` (``census.surface_pool``)
+    and every cyclic word on those labels (``census.word_pool``).  Both pools
+    are limited to 6 labels and 1000 elements; a larger one is a ValueError
+    before anything is built.
     """
-    subsets = list(census.label_subsets(max_labels))
-    surfaces = [q for subset in subsets for q in census.enumerate_surfaces(subset, max_g)]
-    words = [w for subset in subsets for w in census.enumerate_cyclic_words(subset)]
+    surfaces = census.surface_pool(max_labels, max_g)
+    words = census.word_pool(max_labels)
 
     report = LawReport(
         f"universal-property check over {len(surfaces)} surfaces "

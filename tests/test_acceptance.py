@@ -12,7 +12,7 @@ from itertools import permutations
 
 from oracles import catalan, double_factorial_odd, oracle_distribution
 from surfops.canonical import canonical_diagram
-from surfops.census import enumerate_matchings, enumerate_surfaces, label_subsets, random_diagram
+from surfops.census import enumerate_matchings, random_diagram, surface_pool, word_pool
 from surfops.diagram import evaluate
 from surfops.laws import (
     AXIOM_FAMILIES,
@@ -36,17 +36,16 @@ SEED = 20260817
 
 def axiom_family():
     """Every surface on at most 4 labels with genus at most 2."""
-    return [q for sub in label_subsets(4) for q in enumerate_surfaces(sub, 2)]
+    return surface_pool(4, 2)
 
 
 def round_trip_family():
     """At most 4 labels, at most 4 boundary cycles (empty ones included), genus at most 2."""
     out = []
-    for sub in label_subsets(4):
-        for base in enumerate_surfaces(sub, 2):
-            for extra in range(4 - base.boundary_count + 1):
-                cycles = base.cycles + (CyclicWord(()),) * extra
-                out.append(Surface(cycles, base.genus))
+    for base in surface_pool(4, 2):
+        for extra in range(4 - base.boundary_count + 1):
+            cycles = base.cycles + (CyclicWord(()),) * extra
+            out.append(Surface(cycles, base.genus))
     return out
 
 
@@ -218,10 +217,8 @@ def test_criterion_7_genus_distribution_oracle(capsys):
 
 
 def test_criterion_8_morphism_suite(capsys):
-    surfaces = [q for sub in label_subsets(3) for q in enumerate_surfaces(sub, 1)]
-    from surfops.census import enumerate_cyclic_words
-
-    words = [w for sub in label_subsets(3) for w in enumerate_cyclic_words(sub)]
+    surfaces = surface_pool(3, 1)
+    words = word_pool(3)
     ok = True
     for target, include in [
         (SurfaceTarget(), to_surface),
@@ -280,7 +277,7 @@ def _mutated_distribution(n, mutant):
 
 
 def test_criterion_9_mutation_sensitivity(capsys):
-    family = [q for sub in label_subsets(2) for q in enumerate_surfaces(sub, 1)]
+    family = surface_pool(2, 1)
 
     merge_caught_by_axioms = not check_axioms(_MergeWithoutGenus(), family).passed
     merge_caught_by_distribution = _mutated_distribution(2, _MergeWithoutGenus()) != oracle_distribution(2)

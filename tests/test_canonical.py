@@ -9,7 +9,7 @@ import pytest
 
 from surfops import canonical
 from surfops.canonical import all_canonical_diagrams, canonical_diagram
-from surfops.census import enumerate_surfaces, label_subsets, random_surface
+from surfops.census import enumerate_surfaces, random_surface, surface_pool
 from surfops.diagram import ChordDiagram, evaluate
 from surfops.surface import Surface
 from surfops.words import CyclicWord
@@ -59,7 +59,7 @@ def test_all_expressions_counts():
 
 
 def test_presentation_count_is_the_enumerated_count():
-    pool = [q for sub in label_subsets(4) for q in enumerate_surfaces(sub, 2)]
+    pool = surface_pool(4, 2)
     rng = random.Random(14)
     pool += [random_surface(rng, ["a", "b", "c", "d"][:rng.randint(0, 4)], 1, 3) for _ in range(60)]
     pool += [Surface.parse("{ ( ) ( ) ( ) }^1"), Surface.parse("{ ( ) ( ) ( a b ) ( c ) }^0")]

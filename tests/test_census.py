@@ -5,12 +5,12 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from oracles import catalan, double_factorial_odd, oracle_distribution
-from surfops import census
+from surfops import census, laws
 from surfops.census import (
     _partner_arrays,
     cycle_decompositions,
@@ -22,8 +22,11 @@ from surfops.census import (
     label_subsets,
     random_diagram,
     random_surface,
+    surface_pool,
+    word_pool,
 )
 from surfops.diagram import ChordDiagram, _genus, _partner, evaluate
+from surfops.laws import TerminalElement, terminal_pool
 from surfops.surface import Surface
 from surfops.words import CyclicWord, glue, is_glue
 
@@ -303,3 +306,45 @@ def test_label_subsets_refuses_a_negative_count():
         label_subsets(-1)
     assert list(label_subsets(0)) == [()]
     assert list(label_subsets(2)) == [(), ("1",), ("2",), ("1", "2")]
+
+
+def test_pools_follow_label_subsets_order():
+    subsets = [(), ("1",), ("2",), ("1", "2")]
+    assert surface_pool(2, 1) == [q for labels in subsets for q in enumerate_surfaces(labels, 1)]
+    assert word_pool(2) == [w for labels in subsets for w in enumerate_cyclic_words(labels)]
+    assert terminal_pool(2, 0) == [TerminalElement(frozenset(labels), g) for labels in subsets for g in (0, 1)]
+
+
+def test_pool_lengths_are_their_formulas():
+    for n in range(6):
+        assert len(word_pool(n)) == sum(comb(n, k) * factorial(max(k - 1, 0)) for k in range(n + 1))
+        for g in range(3):
+            assert len(surface_pool(n, g)) == sum(comb(n, k) * factorial(k) for k in range(n + 1)) * (g + 1)
+            assert len(terminal_pool(n, g)) == 2**n * (2 * g + 2)
+    assert (len(surface_pool(4, 2)), len(surface_pool(5, 2))) == (195, 978)
+    assert len(terminal_pool(6, 6)) == 896  # the largest terminal pool on 6 labels
+
+
+@pytest.mark.parametrize("build, pool, size", [
+    (lambda: surface_pool(7, 0), "surface pool of max_labels = 7, max_g = 0", "13700"),
+    (lambda: surface_pool(6, 0), "surface pool of max_labels = 6, max_g = 0", "1957"),
+    (lambda: surface_pool(10**9, 1), "surface pool of max_labels = 1000000000, max_g = 1", "more than 27400"),
+    (lambda: surface_pool(3, 10**9), "surface pool of max_labels = 3, max_g = 1000000000", "16000000016"),
+    (lambda: word_pool(7), "word pool of max_labels = 7", "2373"),
+    (lambda: terminal_pool(6, 7), "terminal pool of max_labels = 6, max_g = 7", "1024"),
+    (lambda: terminal_pool(8, 0), "terminal pool of max_labels = 8, max_g = 0", "more than 256"),
+    (lambda: terminal_pool(10**9, 10**9), "terminal pool of max_labels = 1000000000, max_g = 1000000000",
+     "more than 256000000256"),
+])
+def test_pools_are_limited_before_building(monkeypatch, build, pool, size):
+    def refuse(*args):
+        raise AssertionError("the refused pool was built")
+
+    for module, name in [(census, "label_subsets"), (census, "enumerate_surfaces"),
+                         (census, "enumerate_cyclic_words"), (laws, "TerminalElement")]:
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="was built"):
+        surface_pool(1, 0)  # the builders do go through the refusing stand-ins
+    with pytest.raises(ValueError, match=f"^the {pool} would hold {size} elements; "
+                                         f"pools are limited to 1000 elements on at most 6 labels$"):
+        build()

@@ -69,6 +69,30 @@ def test_canon_all_is_limited(capsys):
                    "enumerating them is limited to 100000\n")
 
 
+@pytest.mark.parametrize("argv, pool, size", [
+    (["check-axioms", "--max-labels", "7"], "surface pool of max_labels = 7, max_g = 1", "27400"),
+    (["check-axioms", "--max-labels", "1000000000"], "surface pool of max_labels = 1000000000, max_g = 1",
+     "more than 27400"),
+    (["check-axioms", "--max-g", "1000000000"], "surface pool of max_labels = 2, max_g = 1000000000", "5000000005"),
+    (["check-axioms", "--target", "terminal", "--max-labels", "1000000000"],
+     "terminal pool of max_labels = 1000000000, max_g = 1", "more than 512"),
+    (["check-axioms", "--target", "terminal", "--max-labels", "3", "--max-g", "1000000000"],
+     "terminal pool of max_labels = 3, max_g = 1000000000", "16000000016"),
+    (["check-envelope", "--max-labels", "6", "--max-g", "1"], "surface pool of max_labels = 6, max_g = 1", "3914"),
+    (["check-envelope", "--max-labels", "1000000000"], "surface pool of max_labels = 1000000000, max_g = 1",
+     "more than 27400"),
+    (["check-envelope", "--max-g", "1000000000"], "surface pool of max_labels = 3, max_g = 1000000000",
+     "16000000016"),
+])
+def test_large_pools_are_refused_at_once(capsys, argv, pool, size):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: the {pool} would hold {size} elements; "
+                   f"pools are limited to 1000 elements on at most 6 labels\n")
+
+
 @pytest.mark.parametrize("operand", ['{"cycles": [["a"]], "g": 99999999999999999999999}',
                                      "{ ( a ) }^99999999999999999999999"])
 def test_canon_of_a_huge_genus_is_refused_at_once(capsys, operand):

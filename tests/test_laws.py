@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,7 @@ from typing import NamedTuple
 import pytest
 
 from surfops import laws
-from surfops.census import enumerate_cyclic_words, enumerate_surfaces, label_subsets, random_diagram
+from surfops.census import label_subsets, random_diagram, surface_pool, word_pool
 from surfops.diagram import evaluate
 from surfops.laws import (
     AXIOM_FAMILIES,
@@ -31,18 +32,11 @@ from surfops.laws import (
     induce,
     surface_sampler,
     terminal_inclusion,
+    terminal_pool,
     terminal_sampler,
 )
 from surfops.surface import Surface, compose, self_glue, to_surface
 from surfops.words import CyclicWord, Renaming
-
-
-def small_family(max_labels=2, max_g=1):
-    return [q for sub in label_subsets(max_labels) for q in enumerate_surfaces(sub, max_g)]
-
-
-def small_words(max_labels=3):
-    return [w for sub in label_subsets(max_labels) for w in enumerate_cyclic_words(sub)]
 
 
 class NoGenusBump(SurfaceTarget):
@@ -195,13 +189,13 @@ def test_terminal_target_operations():
 
 def test_induce_is_identity_on_surfaces():
     target = SurfaceTarget()
-    for q in small_family():
+    for q in surface_pool(2, 1):
         assert induce(target, to_surface, q) == q
 
 
 def test_induce_terminal_hits_signature():
     target = TerminalTarget()
-    for q in small_family():
+    for q in surface_pool(2, 1):
         assert induce(target, terminal_inclusion, q) == TerminalElement(q.labels, q.grade)
 
 
@@ -223,7 +217,7 @@ def test_induce_no_contractions_at_grade_zero():
 
 
 def test_axioms_pass_on_surfaces():
-    report = check_axioms(SurfaceTarget(), small_family())
+    report = check_axioms(SurfaceTarget(), surface_pool(2, 1))
     assert report.passed, str(report)
     assert report.total_checked > 0
     assert all(f.checked > 0 for n, f in report.families.items()
@@ -247,7 +241,7 @@ def test_axioms_random_pass():
 
 
 def test_absorb_adds_random_counts_behind_the_exhaustive_counterexamples():
-    report = check_axioms(NoGenusBump(), small_family())
+    report = check_axioms(NoGenusBump(), surface_pool(2, 1))
     exhaustive = {name: (f.checked, f.failures, f.counterexample) for name, f in report.families.items()}
     random_report = check_axioms_random(NoGenusBump(), surface_sampler(), 90, random.Random(5))
     report.absorb(random_report)
@@ -269,7 +263,7 @@ def test_absorb_adds_random_counts_behind_the_exhaustive_counterexamples():
 
 
 def test_axioms_catch_broken_contract():
-    report = check_axioms(NoGenusBump(), small_family())
+    report = check_axioms(NoGenusBump(), surface_pool(2, 1))
     assert not report.passed
     bad = [n for n, f in report.families.items() if f.failures]
     assert bad, str(report)
@@ -287,13 +281,13 @@ def test_axioms_catch_broken_contract():
 
 
 def test_budget_caps_instances():
-    report = check_axioms(SurfaceTarget(), small_family(), budget=10)
+    report = check_axioms(SurfaceTarget(), surface_pool(2, 1), budget=10)
     assert all(f.checked <= 10 for f in report.families.values())
     assert str(report) == BUDGET_10_REPORT
 
 
 def test_report_rendering():
-    report = check_axioms(SurfaceTarget(), small_family(1, 0))
+    report = check_axioms(SurfaceTarget(), surface_pool(1, 0))
     text = str(report)
     assert "compose_symmetry" in text and "PASS" in text
     data = report.to_json()
@@ -302,7 +296,7 @@ def test_report_rendering():
 
 
 def test_cyclic_morphism_passes():
-    words = small_words()
+    words = word_pool(3)
     for target, include in [
         (SurfaceTarget(), to_surface),
         (TerminalTarget(), terminal_inclusion),
@@ -312,13 +306,13 @@ def test_cyclic_morphism_passes():
 
 
 def test_cyclic_morphism_catches_twisted_inclusion():
-    report = check_cyclic_morphism(SurfaceTarget(), twisted, small_words(2))
+    report = check_cyclic_morphism(SurfaceTarget(), twisted, word_pool(2))
     assert not report.passed
     assert report.families["rename_equivariance"].failures > 0
 
 
 def test_modular_morphism_passes():
-    family = small_family()
+    family = surface_pool(2, 1)
     for target, include in [
         (SurfaceTarget(), to_surface),
         (TerminalTarget(), terminal_inclusion),
@@ -336,7 +330,7 @@ def test_modular_morphism_catches_collapse():
     def flat(word: CyclicWord) -> TerminalElement:
         return TerminalElement(frozenset(word.labels), 1)  # wrong base grade
 
-    report = check_modular_morphism(Collapse(), flat, small_family(2, 0), budget=200)
+    report = check_modular_morphism(Collapse(), flat, surface_pool(2, 0), budget=200)
     assert not report.passed
 
 
@@ -365,9 +359,9 @@ def test_faulty_morphism_counts_pinned():
     def counts(report):
         return {name: (f.checked, f.failures) for name, f in report.families.items()}
 
-    assert counts(check_modular_morphism(NoGenusBump(), to_surface, small_family(3, 1))) \
+    assert counts(check_modular_morphism(NoGenusBump(), to_surface, surface_pool(3, 1))) \
         == NO_GENUS_BUMP_MODULAR_COUNTS
-    assert counts(check_cyclic_morphism(SurfaceTarget(), twisted, small_words(3))) == TWISTED_CYCLIC_COUNTS
+    assert counts(check_cyclic_morphism(SurfaceTarget(), twisted, word_pool(3))) == TWISTED_CYCLIC_COUNTS
 
 
 def test_well_definedness_keeps_values():
@@ -405,8 +399,8 @@ def test_minimal_target_runs_through_the_harness():
     elements = [TerminalElement(frozenset(sub), g) for sub in label_subsets(3) for g in range(3)]
     for check, pool, include in [
         (check_axioms, elements, None),
-        (check_cyclic_morphism, small_words(), terminal_inclusion),
-        (check_modular_morphism, small_family(), terminal_inclusion),
+        (check_cyclic_morphism, word_pool(3), terminal_inclusion),
+        (check_modular_morphism, surface_pool(2, 1), terminal_inclusion),
     ]:
         args = (pool,) if include is None else (include, pool)
         report = check(MinimalTarget(), *args, budget=300)
@@ -423,9 +417,9 @@ def test_induce_refuses_glue_token_labels():
 def _budgeted_checks(budget):
     """Each harness entry point that takes a per-family ``budget``, called with it."""
     return [
-        lambda: check_axioms(SurfaceTarget(), small_family(1, 0), budget=budget),
-        lambda: check_cyclic_morphism(SurfaceTarget(), to_surface, small_words(2), budget=budget),
-        lambda: check_modular_morphism(SurfaceTarget(), to_surface, small_family(1, 0), budget=budget),
+        lambda: check_axioms(SurfaceTarget(), surface_pool(1, 0), budget=budget),
+        lambda: check_cyclic_morphism(SurfaceTarget(), to_surface, word_pool(2), budget=budget),
+        lambda: check_modular_morphism(SurfaceTarget(), to_surface, surface_pool(1, 0), budget=budget),
         lambda: check_universal_property(1, 0, budget=budget),
     ]
 
@@ -440,6 +434,9 @@ def test_harness_counts_refuse_non_integers(count):
         check_axioms_random(SurfaceTarget(), surface_sampler(), count, random.Random(0))
     with pytest.raises(ValueError, match=f"^max_labels must be an integer, got {shown}$"):
         check_universal_property(max_labels=count)
+    for build in (lambda: check_universal_property(max_g=count), lambda: terminal_pool(1, count)):
+        with pytest.raises(ValueError, match=f"^max_g must be an integer, got {shown}$"):
+            build()
 
 
 def test_harness_counts_refuse_negative_values():
@@ -450,12 +447,24 @@ def test_harness_counts_refuse_negative_values():
         check_axioms_random(SurfaceTarget(), surface_sampler(), -1, random.Random(0))
     with pytest.raises(ValueError, match="^max_labels must be nonnegative$"):
         check_universal_property(max_labels=-1)
+    for build in (lambda: check_universal_property(max_g=-1), lambda: terminal_pool(1, -1)):
+        with pytest.raises(ValueError, match="^max_g must be nonnegative$"):
+            build()
+
+
+def test_universal_property_refuses_a_huge_pool_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^the surface pool of max_labels = 1000000000, max_g = 0 would hold "
+                                         r"more than 13700 elements; pools are limited to 1000 elements "
+                                         r"on at most 6 labels$"):
+        check_universal_property(10**9, 0)
+    assert time.perf_counter() - start < 1
 
 
 def test_harness_counts_of_zero_and_none_stay_valid():
     for check in _budgeted_checks(0):
         assert check().total_checked == 0
-    assert check_axioms(SurfaceTarget(), small_family(1, 0), budget=None).total_checked > 0
+    assert check_axioms(SurfaceTarget(), surface_pool(1, 0), budget=None).total_checked > 0
     assert check_axioms_random(SurfaceTarget(), surface_sampler(), 0, random.Random(0)).total_checked == 0
 
 
@@ -478,14 +487,14 @@ def test_terminal_target_preconditions():
 
 def test_axiom_reports_repeat_exactly():
     # the renaming lists are shared within a sweep, never across sweeps, and keep the sweep's order
-    pool = small_family(3, 0)
+    pool = surface_pool(3, 0)
     first, second = check_axioms(SurfaceTarget(), pool), check_axioms(SurfaceTarget(), pool)
     assert str(first) == str(second) and first.to_json() == second.to_json()
-    assert [str(check_axioms(NoGenusBump(), small_family())) for _ in range(2)] == [BROKEN_CONTRACT_REPORT] * 2
+    assert [str(check_axioms(NoGenusBump(), surface_pool(2, 1))) for _ in range(2)] == [BROKEN_CONTRACT_REPORT] * 2
 
 
 def test_renaming_lists_are_built_once_per_sweep():
-    ch = laws._AllChoices(small_family(3, 0))
+    ch = laws._AllChoices(surface_pool(3, 0))
     lx = frozenset({"1", "3"})
     both = ch.renamings(lx, lx, "u")
     assert isinstance(both, tuple) and ch.renamings(lx, lx, "u") is both
@@ -495,7 +504,7 @@ def test_renaming_lists_are_built_once_per_sweep():
     assert [str(r) for r in ch.renamings(lx, lx | {"u1"}, "u")[2:]] == ["{1->u2, 3->u3}", "{1->u3, 3->u2}"]
     assert ch.renamings(lx, lx, "v")[2:] != both[2:]
     # each sweep builds its own
-    again = laws._AllChoices(small_family(3, 0)).renamings(lx, lx, "u")
+    again = laws._AllChoices(surface_pool(3, 0)).renamings(lx, lx, "u")
     assert again == both and again is not both
 
 
@@ -538,7 +547,7 @@ def test_rename_postcondition_holds_under_python_O():
 
 def laws_pool():
     """The benchmark's laws pool: every surface on at most 4 labels with genus 0."""
-    return small_family(4, 0)
+    return surface_pool(4, 0)
 
 
 class CountingTarget(SurfaceTarget):
@@ -686,7 +695,7 @@ def test_exhaustive_sweep_keeps_no_result():
             outputs.append(weakref.ref(out))
             return out
 
-    report = check_axioms(Watched(), small_family(3, 1))
+    report = check_axioms(Watched(), surface_pool(3, 1))
     assert report.passed and len(outputs) > 1000
     gc.collect()
     assert [ref for ref in outputs if ref() is not None] == []

@@ -1,5 +1,5 @@
 """README examples: every ``$ surfops ...`` example whose full output is shown prints exactly that
-output through ``cli.main``, and the Python block runs."""
+output through ``cli.main``, with its exit code, and the Python block runs."""
 
 import re
 import shlex
@@ -37,8 +37,9 @@ def test_examples_are_found():
 
 @pytest.mark.parametrize("command, output", FULL, ids=[command for command, _ in FULL])
 def test_example_prints_its_shown_output(capsys, command, output):
-    main(shlex.split(command)[1:])
+    code = main(shlex.split(command)[1:])
     assert capsys.readouterr() == ("".join(line + "\n" for line in output), "")
+    assert code == (3 if output == ["inequivalent"] else 0)  # the one verdict that exits 3
 
 
 def test_python_block_runs():

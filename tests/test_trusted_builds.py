@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from surfops.canonical import all_canonical_diagrams
-from surfops.census import enumerate_matchings, enumerate_surfaces, label_subsets, random_diagram
+from surfops.census import enumerate_matchings, random_diagram, surface_pool
 from surfops.diagram import ChordDiagram
 from surfops.laws import SurfaceTarget, check_axioms
 from surfops.rewrite import neighbors
@@ -51,7 +51,7 @@ def build_counts(monkeypatch):
 
 
 def _pool():
-    return [q for subset in label_subsets(3) for q in enumerate_surfaces(subset, 1)]
+    return surface_pool(3, 1)
 
 
 def test_laws_sweep_build_counts(build_counts):
@@ -61,7 +61,7 @@ def test_laws_sweep_build_counts(build_counts):
     a restriction or a union, made inside a law before any lookup; the counts of surfaces and words
     are those of one target operation per distinct operation and operands in each family.
     """
-    pool = [q for subset in label_subsets(4) for q in enumerate_surfaces(subset, 0)]
+    pool = surface_pool(4, 0)
     build_counts.clear()
     report = check_axioms(SurfaceTarget(), pool)
     assert len(pool) == 65 and report.passed and report.total_checked == 43959
