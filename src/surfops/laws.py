@@ -19,9 +19,12 @@ every law compares values themselves, never their text.
 The exhaustive driver computes each distinct operation (with its operands)
 once per family: renamings onto the same fresh names send every element of
 one shape to one value, so the nested choice loops ask for it again and
-again.  Results are shared for one family and then dropped; a failed
+again.  The renamings a law derives from its instance (a composite, a
+restriction, a union) go through the session as well, and are shared the
+same way.  Results are shared for one family and then dropped; a failed
 operation is never shared.  The random driver and the morphism checkers call
-the target for every operation, since their instances seldom repeat one.
+the target for every operation and build every derived renaming, since
+their instances seldom repeat one.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class Target(ABC):
     ``labels`` (a frozenset of marked points) and ``grade`` (2g + b - 1), are
     hashable, and each operation is a function of its operands' values: equal
     operands give equal results, or the same refusal.  ``check_axioms`` relies
-    on this to compute each distinct operation once.
+    on this to compute each distinct operation once per family, as it does
+    each composite, restriction and union of the instances' renamings.
     """
 
     name: str = "target"
@@ -274,6 +278,15 @@ class _Session:
     def contract(self, x, a: str, b: str):
         return self._kept("contract", self.t.contract(x, a, b), x.labels - {a, b}, x.grade + 1)
 
+    def after(self, second: Renaming, first: Renaming) -> Renaming:
+        return second.after(first)
+
+    def restrict(self, renaming: Renaming, labels: frozenset[str]) -> Renaming:
+        return renaming.restrict(labels)
+
+    def union(self, rho: Renaming, sigma: Renaming) -> Renaming:
+        return rho.union(sigma)
+
     def run(self, family: str, instances: Iterable[tuple[_Law, tuple]], budget: int | None = None) -> None:
         """Check the first ``budget`` (all, if None) ``(law, args)`` instances of ``family``."""
         if budget is not None:
@@ -300,16 +313,32 @@ class _Session:
 _MISSING = object()
 
 
+def _shared(op: Callable) -> Callable:
+    """The sharing session's ``op``: the plain session's, looked up first and stored when it succeeds."""
+    tag = (op,)
+
+    def shared(self, *args):
+        key = tag + args
+        out = self._results.get(key, _MISSING)
+        if out is _MISSING:
+            out = op(self, *args)
+            out = self._results[key] = self._firsts.setdefault(out, out)
+        return out
+
+    return shared
+
+
 class _SharingSession(_Session):
     """A session that computes each distinct operation once, for the exhaustive sweep.
 
-    ``rename`` (keyed on the renaming's ``pairs``), ``compose`` and
-    ``contract`` first look up the operation and its operands; a miss takes
-    the session's own path, the target call and then its postcondition.  A
-    failed operation is never stored, so it fails again on every instance
-    that reaches it.  Equal results share the first copy, so the store holds
-    each distinct value once.  ``check_axioms`` makes one per family: the
-    store is dropped when that family's ``run`` returns.
+    The target's ``rename``, ``compose`` and ``contract`` and the derived
+    renamings ``after``, ``restrict`` and ``union`` first look up the
+    operation and its operands (a renaming is an operand like any value); a
+    miss takes the plain session's path.  A failed operation is never
+    stored, so it fails again on every instance that reaches it.  Equal
+    results share the first copy, so the store holds each distinct value
+    once.  ``check_axioms`` makes one per family: the store is dropped when
+    that family's ``run`` returns.
     """
 
     def __init__(self, target: Target, report: LawReport):
@@ -317,24 +346,12 @@ class _SharingSession(_Session):
         self._results: dict[tuple, object] = {}
         self._firsts: dict[object, object] = {}
 
-    def _stored(self, key: tuple, out):
-        out = self._results[key] = self._firsts.setdefault(out, out)
-        return out
-
-    def rename(self, x, renaming: Renaming):
-        key = ("rename", x, renaming.pairs)
-        out = self._results.get(key, _MISSING)
-        return self._stored(key, super().rename(x, renaming)) if out is _MISSING else out
-
-    def compose(self, x, a: str, y, b: str):
-        key = ("compose", x, a, y, b)
-        out = self._results.get(key, _MISSING)
-        return self._stored(key, super().compose(x, a, y, b)) if out is _MISSING else out
-
-    def contract(self, x, a: str, b: str):
-        key = ("contract", x, a, b)
-        out = self._results.get(key, _MISSING)
-        return self._stored(key, super().contract(x, a, b)) if out is _MISSING else out
+    rename = _shared(_Session.rename)
+    compose = _shared(_Session.compose)
+    contract = _shared(_Session.contract)
+    after = _shared(_Session.after)
+    restrict = _shared(_Session.restrict)
+    union = _shared(_Session.union)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +483,7 @@ def _compose_symmetry(ch, law):
     "rename_functoriality",
     _Law("x renaming", lambda s, x, ident: (s.rename(x, ident), x)),
     _Law("x first second", lambda s, x, first, second: (
-        s.rename(s.rename(x, first), second), s.rename(x, second.after(first)))),
+        s.rename(s.rename(x, first), second), s.rename(x, s.after(second, first)))),
 )
 def _rename_functoriality(ch, identity_law, composition_law):
     for (x,) in ch.elements(0):
@@ -481,8 +498,7 @@ def _rename_functoriality(ch, identity_law, composition_law):
 
 
 @_axiom("compose_equivariance", _Law("x a y b rho sigma", lambda s, x, a, y, b, rho, sigma: (
-    s.rename(s.compose(x, a, y, b),
-             rho.restrict(x.labels - {a}).union(sigma.restrict(y.labels - {b}))),
+    s.rename(s.compose(x, a, y, b), s.union(s.restrict(rho, x.labels - {a}), s.restrict(sigma, y.labels - {b}))),
     s.compose(s.rename(x, rho), rho(a), s.rename(y, sigma), sigma(b)))))
 def _compose_equivariance(ch, law):
     for x, y in ch.elements(1, 1):
@@ -495,7 +511,7 @@ def _compose_equivariance(ch, law):
 
 
 @_axiom("contract_equivariance", _Law("x a b rho", lambda s, x, a, b, rho: (
-    s.rename(s.contract(x, a, b), rho.restrict(x.labels - {a, b})),
+    s.rename(s.contract(x, a, b), s.restrict(rho, x.labels - {a, b})),
     s.contract(s.rename(x, rho), rho(a), rho(b)))))
 def _contract_equivariance(ch, law):
     for (x,) in ch.elements(2):

@@ -25,9 +25,10 @@ from itertools import chain
 from typing import Iterable
 
 from .lexer import ParseError, TokenStream, _ItemError, nonnegative_int
-from .words import CyclicWord, Renaming, _check_items, _items, _Value, is_glue, parse_word_items
+from .words import CyclicWord, Renaming, _check_items, _hashed_once, _items, _Value, is_glue, parse_word_items
 
 
+@_hashed_once
 @dataclass(frozen=True, init=False)
 class Surface(_Value):
     cycles: tuple[CyclicWord, ...]

@@ -101,7 +101,13 @@ def _least_first(items: tuple[str, ...]) -> tuple[str, ...]:
 
 
 class _Value:
-    """A value type: ``__init__`` checks its arguments, then calls ``_build``; ``_of`` only builds."""
+    """A value type: ``__init__`` checks its arguments, then calls ``_build``; ``_of`` only builds.
+
+    A type decorated with ``_hashed_once`` keeps its hash in ``_hash`` after the first ``hash``.  A
+    string's hash differs from one process to the next, so pickling leaves ``_hash`` out.
+    """
+
+    _hash = None
 
     @classmethod
     def _of(cls, *args):
@@ -109,7 +115,32 @@ class _Value:
         value._build(*args)
         return value
 
+    def __getstate__(self) -> dict:
+        state = vars(self).copy()
+        state.pop("_hash", None)
+        return state
 
+
+def _hashed_once(cls):
+    """Make the dataclass ``__hash__`` of ``cls`` run once per value, on first use; the value keeps it.
+
+    The store lookups of the law sweep hash the same operands again and again, while ``evaluate``
+    and the parsers build many values that are never hashed.
+    """
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hashed_once
 @dataclass(frozen=True, init=False)
 class Renaming(_Value):
     """A bijection between two finite label sets, given by its graph."""
@@ -177,6 +208,7 @@ class Renaming(_Value):
         return "{" + ", ".join(f"{s}->{t}" for s, t in self.pairs) + "}"
 
 
+@_hashed_once
 @dataclass(frozen=True, init=False)
 class CyclicWord(_Value):
     """A cyclic sequence of distinct items, stored in canonical rotation."""

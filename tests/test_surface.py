@@ -1,6 +1,9 @@
 """Surfaces: canonical form, grade arithmetic, the three operations, the embedding of words."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -215,6 +218,53 @@ def test_labels_are_cached_with_the_value():
     q = Surface([("a", "b"), ("c",)], 1)
     assert q.labels is q.labels == frozenset("abc")
     assert "labels" not in repr(q) and q == Surface([("c",), ("b", "a")], 1)
+
+
+_HASHED_VALUES = (
+    lambda: Surface([("a", "b"), ("c",)], 1),
+    lambda: CyclicWord(["y", "z", "x"]),
+    lambda: Renaming({"a": "b", "b": "a"}),
+)
+
+
+@pytest.mark.parametrize("make", _HASHED_VALUES)
+def test_a_kept_hash_changes_nothing_else(make):
+    hashed, fresh = make(), make()
+    shown = repr(hashed), str(hashed)
+    assert hash(hashed) == hash(fresh) and hashed._hash is not None
+    assert (repr(hashed), str(hashed)) == shown == (repr(fresh), str(fresh))
+    assert hashed == fresh and fresh == hashed and not hashed != fresh
+    if isinstance(hashed, Surface):
+        assert hashed.to_json() == fresh.to_json() and hashed.json() == fresh.json()
+
+
+_PICKLED_ACROSS_SEEDS = """
+import pickle, sys
+from surfops.surface import Surface
+from surfops.words import CyclicWord, Renaming
+
+values = [Surface([("a", "b"), ("c",)], 1), CyclicWord(["y", "z", "x"]), Renaming({"a": "b", "b": "a"})]
+if sys.argv[1] == "dump":
+    for v in values:
+        hash(v)
+    sys.stdout.buffer.write(pickle.dumps(values))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    print([v == w and v in {w} and w in {v} for v, w in zip(values, loaded)])
+"""
+
+
+def test_a_kept_hash_is_not_pickled():
+    """A string's hash differs between processes: a value hashed, pickled and loaded elsewhere hashes afresh."""
+
+    def child(seed: str, mode: str, data: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", _PICKLED_ACROSS_SEEDS, mode], input=data,
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    assert child("2", "load", child("1", "dump")) == b"[True, True, True]\n"
 
 
 def _pair(q: Surface):

@@ -10,7 +10,7 @@ import pytest
 from surfops.canonical import all_canonical_diagrams
 from surfops.census import enumerate_matchings, random_diagram, surface_pool
 from surfops.diagram import ChordDiagram
-from surfops.laws import SurfaceTarget, check_axioms
+from surfops.laws import SurfaceTarget, check_axioms, check_axioms_random, surface_sampler
 from surfops.rewrite import neighbors
 from surfops.surface import Surface
 from surfops.words import CyclicWord, Renaming
@@ -22,6 +22,7 @@ VALUE_TYPES = (CyclicWord, Surface, ChordDiagram, Renaming)
 def cross_checked(monkeypatch):
     """Make every trusted build also call the public constructor, which must accept it and agree.
 
+    Both have the same fields and the same hash, so a hash kept by either is the one the other computes.
     Yields the number of trusted builds per type.
     """
     built = Counter()
@@ -30,6 +31,7 @@ def cross_checked(monkeypatch):
             value = build(*args)
             public = cls(*args)
             assert vars(public) == vars(value), f"{cls.__name__}{args!r}: {public!r} != {value!r}"
+            assert hash(public) == hash(value), f"{cls.__name__}{args!r}: the hashes differ"
             built[cls.__name__] += 1
             return value
 
@@ -57,16 +59,45 @@ def _pool():
 def test_laws_sweep_build_counts(build_counts):
     """One exhaustive sweep of the benchmark's laws pool (labels <= 4, genus 0) does not rebuild more values.
 
-    Each list of renamings is built once per sweep, so almost every Renaming build is a composite,
-    a restriction or a union, made inside a law before any lookup; the counts of surfaces and words
-    are those of one target operation per distinct operation and operands in each family.
+    Each list of renamings is built once per sweep, and each distinct composite, restriction and union
+    of renamings once per family, like each distinct target operation with its operands; the counts of
+    surfaces and words are those of one target operation per distinct operation in each family.
     """
     pool = surface_pool(4, 0)
     build_counts.clear()
     report = check_axioms(SurfaceTarget(), pool)
     assert len(pool) == 65 and report.passed and report.total_checked == 43959
-    assert build_counts["Renaming"] == 55038, build_counts
+    assert build_counts["Renaming"] == 3078, build_counts
     assert build_counts["Surface"] <= 10376 and build_counts["CyclicWord"] <= 18901, build_counts
+
+
+def test_no_store_outlives_its_sweep(build_counts):
+    """A second sweep of the same pool builds exactly what the first built: nothing was kept between them."""
+    pool = surface_pool(3, 0)
+    build_counts.clear()
+    first = check_axioms(SurfaceTarget(), pool)
+    built_first = Counter(build_counts)
+    build_counts.clear()
+    second = check_axioms(SurfaceTarget(), pool)
+    assert str(first) == str(second) and first.passed
+    assert build_counts == built_first and built_first["Renaming"] and built_first["Surface"], build_counts
+
+
+def test_random_driver_builds_every_composite(monkeypatch):
+    """The random driver shares nothing: each composition instance builds its composite, restrictions and union."""
+    calls = Counter()
+    for name in ("after", "restrict", "union", "identity"):
+        def counted(*args, name=name, call=getattr(Renaming, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(Renaming, name, staticmethod(counted) if name == "identity" else counted)
+    report = check_axioms_random(SurfaceTarget(), surface_sampler(max_labels=4, max_g=1), 900, random.Random(27))
+    checked = {name: res.checked for name, res in report.families.items()}
+    assert report.passed and calls["identity"] > 0
+    assert calls["after"] == checked["rename_functoriality"] - calls["identity"] > 0
+    assert calls["union"] == checked["compose_equivariance"] == 100
+    assert calls["restrict"] == 2 * checked["compose_equivariance"] + checked["contract_equivariance"]
 
 
 def test_laws_build_only_valid_values(cross_checked):
