@@ -228,7 +228,12 @@ def random_surface(
     max_g: int,
     max_extra_empty: int = 0,
 ) -> Surface:
-    """A random surface on exactly ``labels`` plus up to ``max_extra_empty`` empty cycles."""
+    """A random surface on exactly ``labels`` plus up to ``max_extra_empty`` empty cycles, genus at most ``max_g``.
+
+    ``max_g`` and ``max_extra_empty`` are nonnegative ints, checked before anything is drawn from ``rng``.
+    """
+    _require_count(max_g, "max_g", 0, "max_g must be nonnegative")
+    _require_count(max_extra_empty, "max_extra_empty", 0, "max_extra_empty must be nonnegative")
     pool = list(labels)
     rng.shuffle(pool)
     cycles: list[tuple[str, ...]] = []
@@ -252,7 +257,16 @@ def random_diagram(
     max_arcs: int = 6,
     ensure_handle: bool = False,
 ) -> ChordDiagram:
-    """A random diagram on labels from ``a`` to ``h``; with ``ensure_handle`` it contains a handle block."""
+    """A random diagram on labels from ``a`` to ``h``; with ``ensure_handle`` it contains a handle block.
+
+    ``max_labels`` is an int from 0 to 8 and ``max_arcs`` a nonnegative int (at least one arc is drawn,
+    two with ``ensure_handle``), both checked before anything is drawn from ``rng``.
+    """
+    in_range = f"max_labels must be from 0 to {len(_LABEL_POOL)}, got {{}}"
+    _require_count(max_labels, "max_labels", 0, in_range)
+    if max_labels > len(_LABEL_POOL):
+        raise ValueError(in_range.format(max_labels))
+    _require_count(max_arcs, "max_arcs", 0, "max_arcs must be nonnegative")
     n_labels = rng.randint(0, max_labels)
     labels = rng.sample(_LABEL_POOL, n_labels)
     lo = 2 if ensure_handle else 1

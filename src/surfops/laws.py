@@ -19,10 +19,10 @@ every law compares values themselves, never their text.
 The exhaustive driver computes each distinct operation (with its operands)
 once per family: renamings onto the same fresh names send every element of
 one shape to one value, so the nested choice loops ask for it again and
-again.  The renamings a law derives from its instance (a composite, a
-restriction, a union) go through the session as well, and are shared the
-same way.  Results are shared for one family and then dropped; a failed
-operation is never shared.  The random driver and the morphism checkers call
+again.  Each operation, and each renaming a law derives (a composite, a
+restriction, a union), is a ``functools.cache`` kept for one family, and
+equal results are one object, the pool's own where one is equal; a failed
+operation is never cached.  The random driver and the morphism checkers call
 the target for every operation and build every derived renaming, since
 their instances seldom repeat one.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import chain, combinations, islice, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
@@ -310,48 +310,32 @@ class _Session:
                 fam.counterexample = Counterexample(family, inputs, *shown)
 
 
-_MISSING = object()
-
-
-def _shared(op: Callable) -> Callable:
-    """The sharing session's ``op``: the plain session's, looked up first and stored when it succeeds."""
-    tag = (op,)
-
-    def shared(self, *args):
-        key = tag + args
-        out = self._results.get(key, _MISSING)
-        if out is _MISSING:
-            out = op(self, *args)
-            out = self._results[key] = self._firsts.setdefault(out, out)
-        return out
-
-    return shared
+def _interned(op: Callable, firsts: dict, *args):
+    """``op(*args)``, as the first equal value in ``firsts``, where it is kept when it is new."""
+    out = op(*args)
+    return firsts.setdefault(out, out)
 
 
 class _SharingSession(_Session):
     """A session that computes each distinct operation once, for the exhaustive sweep.
 
     The target's ``rename``, ``compose`` and ``contract`` and the derived
-    renamings ``after``, ``restrict`` and ``union`` first look up the
-    operation and its operands (a renaming is an operand like any value); a
-    miss takes the plain session's path.  A failed operation is never
-    stored, so it fails again on every instance that reaches it.  Equal
-    results share the first copy, so the store holds each distinct value
-    once.  ``check_axioms`` makes one per family: the store is dropped when
-    that family's ``run`` returns.
+    renamings ``after``, ``restrict`` and ``union`` are the plain session's,
+    each behind its own ``functools.cache`` (a renaming is an operand like any
+    value).  A failed operation is never cached, so it fails again on every
+    instance that reaches it.  Every result passes through one intern table,
+    seeded with the pool, so a result equal to a pool element or to an earlier
+    result is that first copy.  ``check_axioms`` makes one per family: the
+    caches and the table are dropped when that family's ``run`` returns.
     """
 
-    def __init__(self, target: Target, report: LawReport):
+    def __init__(self, target: Target, report: LawReport, pool: Iterable):
         super().__init__(target, report)
-        self._results: dict[tuple, object] = {}
-        self._firsts: dict[object, object] = {}
-
-    rename = _shared(_Session.rename)
-    compose = _shared(_Session.compose)
-    contract = _shared(_Session.contract)
-    after = _shared(_Session.after)
-    restrict = _shared(_Session.restrict)
-    union = _shared(_Session.union)
+        # the caches wrap a second session, never this one's methods: they would make a cycle
+        plain = _Session(target, report)
+        firsts = {x: x for x in pool}
+        for name in ("rename", "compose", "contract", "after", "restrict", "union"):
+            setattr(self, name, cache(partial(_interned, getattr(plain, name), firsts)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +348,11 @@ def _fresh_names(n: int, avoid: frozenset[str], tag: str) -> list[str]:
     return [name for name in names if name not in avoid][:n]
 
 
+def _renamings(src: tuple[str, ...], fresh: tuple[str, ...], fresh_only: bool) -> tuple[Renaming, ...]:
+    images = permutations(fresh) if fresh_only else chain(permutations(src), permutations(fresh))
+    return tuple(Renaming._of(tuple(zip(src, image))) for image in images)
+
+
 class _AllChoices:
     """Every option at each choice point, over a fixed pool of elements."""
 
@@ -374,7 +363,7 @@ class _AllChoices:
             self.groups.setdefault(x.labels, []).append(x)
         self.sets = sorted(self.groups, key=lambda ls: (len(ls), sorted(ls)))
         self.all_labels = frozenset().union(*self.groups)
-        self._renamings: dict[tuple, tuple[Renaming, ...]] = {}
+        self._renamings = cache(_renamings)
 
     def elements(self, *min_labels: int):
         """Tuples of elements on pairwise disjoint labels, each with at least ``min_labels``.
@@ -411,11 +400,7 @@ class _AllChoices:
         # fresh names avoid every label of the pool, not just the instance's
         src = tuple(sorted(labels))
         fresh = tuple(_fresh_names(len(src), self.all_labels | avoid | labels, tag))
-        key = (src, fresh, fresh_only)
-        if key not in self._renamings:
-            images = permutations(fresh) if fresh_only else chain(permutations(src), permutations(fresh))
-            self._renamings[key] = tuple(Renaming._of(tuple(zip(src, image))) for image in images)
-        return self._renamings[key]
+        return self._renamings(src, fresh, fresh_only)
 
     def branch(self, p: float):
         return (True, False)
@@ -584,7 +569,7 @@ def check_axioms(target: Target, elements: Iterable, budget: int | None = None) 
     report = LawReport(f"axiom check against target '{target.name}'")
     choices = _AllChoices(list(elements))
     for family, generate in _AXIOMS.items():
-        _SharingSession(target, report).run(family, generate(choices), budget)
+        _SharingSession(target, report, choices.pool).run(family, generate(choices), budget)
     return report
 
 

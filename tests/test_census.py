@@ -292,6 +292,39 @@ def test_seeded_reproducibility():
     qa = random_surface(random.Random(42), ["x", "y"], 3, 1)
     qb = random_surface(random.Random(42), ["x", "y"], 3, 1)
     assert qa == qb
+    # the argument checks draw nothing from the generator, so these seeded draws are fixed
+    assert str(random_diagram(random.Random(42), max_labels=8, max_arcs=3, ensure_handle=True)) == (
+        "[ #1 #3 #5 #6 a #2 #4 ; (#1 #5) (#2 #6) (#3 #4) ]")
+    assert str(random_diagram(random.Random(1), max_labels=8)) == "[ #1 c #2 b ; (#1 #2) ]"
+    assert str(random_surface(random.Random(42), ["x", "y", "z"], 3, 2)) == "{ ( y ) ( x z ) }^1"
+
+
+def test_random_diagram_label_bound_does_not_depend_on_the_seed():
+    for seed in range(200):
+        d = random_diagram(random.Random(seed), max_labels=8)
+        assert len(d.user_labels) <= 8
+        with pytest.raises(ValueError, match="^max_labels must be from 0 to 8, got 9$"):
+            random_diagram(random.Random(seed), max_labels=9)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda rng: random_diagram(rng, max_labels=9), "max_labels must be from 0 to 8, got 9"),
+    (lambda rng: random_diagram(rng, max_labels=-1), "max_labels must be from 0 to 8, got -1"),
+    (lambda rng: random_diagram(rng, max_labels=2.5), "max_labels must be an integer, got 2.5"),
+    (lambda rng: random_diagram(rng, max_arcs=-1), "max_arcs must be nonnegative"),
+    (lambda rng: random_diagram(rng, max_arcs=2.5), "max_arcs must be an integer, got 2.5"),
+    (lambda rng: random_diagram(rng, max_arcs=True), "max_arcs must be an integer, got True"),
+    (lambda rng: random_surface(rng, ["a"], -1), "max_g must be nonnegative"),
+    (lambda rng: random_surface(rng, ["a"], 1.0), "max_g must be an integer, got 1.0"),
+    (lambda rng: random_surface(rng, ["a"], 1, -1), "max_extra_empty must be nonnegative"),
+    (lambda rng: random_surface(rng, ["a"], 1, "2"), "max_extra_empty must be an integer, got '2'"),
+])
+def test_random_generators_refuse_bad_bounds_before_drawing(call, text):
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call(rng)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("count", [True, 2.5, "3"])

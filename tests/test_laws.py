@@ -678,6 +678,33 @@ def test_a_rejected_operation_fails_every_instance_that_reaches_it(monkeypatch):
     assert len(refused) == 87 and set(refused) == {2}
 
 
+def _plain_sweep(target, pool):
+    """``check_axioms`` without sharing: every family's generator over one pool, through a plain session."""
+    report = laws.LawReport(f"axiom check against target '{target.name}'")
+    choices, session = laws._AllChoices(pool), laws._Session(target, report)
+    for family, generate in laws._AXIOMS.items():
+        session.run(family, generate(choices))
+    return report
+
+
+# a small pool that reaches every family: labels 1 .. 3, and label 4 for the disjoint tuples
+SMALL_POOL = surface_pool(3, 0) + [Surface.parse(t) for t in ("{ (4) }^0", "{ (2 4) }^1", "{ (1) (2) (3) (4) }^0")]
+
+
+@pytest.mark.parametrize("target, pool, passes", [
+    (SurfaceTarget(), SMALL_POOL, True),
+    (TerminalTarget(), terminal_pool(4, 0), True),
+    (NoGenusBump(), SMALL_POOL, False),
+    (RefusesToGlueAt2(), SMALL_POOL, False),
+], ids=["surfaces", "terminal", "merge-mutant", "refuses-at-2"])
+def test_sharing_sweep_reports_what_the_plain_session_reports(target, pool, passes):
+    shared, plain = check_axioms(target, pool), _plain_sweep(target, pool)
+    assert shared.passed is passes and shared.total_checked > 4000 and not shared._vacuous()
+    # the text and the JSON hold every family's counts and its first counterexample verbatim
+    assert str(shared) == str(plain)
+    assert shared.to_json() == plain.to_json()
+
+
 def test_exhaustive_sweep_keeps_no_result():
     outputs = []
 
@@ -695,7 +722,18 @@ def test_exhaustive_sweep_keeps_no_result():
             outputs.append(weakref.ref(out))
             return out
 
-    report = check_axioms(Watched(), surface_pool(3, 1))
-    assert report.passed and len(outputs) > 1000
+    def alive_after_sweep():
+        outputs.clear()
+        report = check_axioms(Watched(), surface_pool(3, 1))
+        assert report.passed and len(outputs) == 1581
+        return [ref for ref in outputs if ref() is not None]
+
+    alive_after_sweep()
     gc.collect()
     assert [ref for ref in outputs if ref() is not None] == []
+    # the stores make no reference cycle, so the sweep frees them without the cycle collector
+    gc.disable()
+    try:
+        assert alive_after_sweep() == []
+    finally:
+        gc.enable()
