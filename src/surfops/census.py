@@ -6,7 +6,7 @@ The genus table tabulates, for all perfect matchings on 2n points around a
 circle, the genus of the evaluated surface.  Those counts are the
 Harer-Zagier numbers, and the table computes them by their exact integer
 recursion, enumerating nothing; ``enumerate_matchings`` builds the diagrams
-themselves, from integer pairings (``partner[p]``, the point matched to ``p``).
+themselves.
 
 The pools of ``check-axioms`` and ``check-envelope`` (every element on a
 subset of the labels "1" .. L, in ``label_subsets`` order) are built here:
@@ -28,11 +28,8 @@ from .words import CyclicWord, _require_count, check_label, glue
 
 
 def _label_set(labels: Iterable[str]) -> list[str]:
-    """The distinct ``labels``, sorted, each checked as a user label."""
-    names = sorted(set(labels))
-    for name in names:
-        check_label(name)
-    return names
+    """The distinct ``labels``, sorted, each checked as a user label before the sort."""
+    return sorted(set(map(check_label, labels)))
 
 
 def cycle_decompositions(labels: Iterable[str]) -> Iterator[tuple[tuple[str, ...], ...]]:
@@ -146,49 +143,34 @@ _MAX_CHORDS = 1000  # (2n-1)!! has 2 867 digits, inside Python's default 4 300-d
 _MAX_DIAGRAMS = 7  # enumerate_matchings keeps them all: n = 7 is 135 135, about 100 MiB; n = 8 would be 2 027 025
 
 
-def _require_chords(n: int) -> None:
-    """Refuse an ``n`` that is not a nonnegative int, and one past ``_MAX_DIAGRAMS``: (2n-1)!! grows factorially."""
+def _pairings(points: tuple[str, ...]) -> Iterator[tuple[tuple[str, str], ...]]:
+    """Every perfect matching of ``points``: the first is paired with each later point in turn.
+
+    Arcs come lower point first, ordered by lower point (canonical arcs for ``points`` in base order).
+    """
+    if not points:
+        yield ()
+        return
+    first = points[0]
+    for i in range(1, len(points)):
+        for rest in _pairings(points[1:i] + points[i + 1 :]):
+            yield ((first, points[i]),) + rest
+
+
+def enumerate_matchings(n: int) -> list[ChordDiagram]:
+    """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching, sorted by arcs, for 0 <= n <= 7.
+
+    An ``n`` past ``_MAX_DIAGRAMS`` is refused before anything is built: (2n-1)!! grows factorially.
+    """
     _require_count(n, "n", 0, "n must be nonnegative")
     if n > _MAX_DIAGRAMS:
         count = prod(range(1, 2 * min(n, 50), 2))  # exact up to n = 50, a lower bound past it
         size = count if n <= 50 else f"more than {count:.1e}"
         raise ValueError(f"the diagram list of n = {n} chords would enumerate (2n-1)!! = {size} matchings; "
                          f"it is limited to n <= {_MAX_DIAGRAMS}")
-
-
-def _partner_arrays(m: int) -> Iterator[list[int]]:
-    """Every perfect matching of the points 0 .. m-1, as ``partner[p]``, the point matched to ``p``.
-
-    One list is filled in place by backtracking (the least unmatched point is
-    paired with each later unmatched point in turn) and yielded at every leaf,
-    so a caller that keeps a matching must copy it.
-    """
-    partner = [-1] * m
-
-    def fill(first: int) -> Iterator[list[int]]:
-        while first < m and partner[first] >= 0:
-            first += 1
-        if first == m:
-            yield partner
-            return
-        for j in range(first + 1, m):
-            if partner[j] < 0:
-                partner[first], partner[j] = j, first
-                yield from fill(first + 1)
-                partner[j] = -1
-        partner[first] = -1
-
-    return fill(0)
-
-
-def enumerate_matchings(n: int) -> list[ChordDiagram]:
-    """All (2n-1)!! diagrams with base (#1 .. #2n) and a perfect matching, sorted by arcs, for 0 <= n <= 7."""
-    _require_chords(n)
     base = tuple(glue(k) for k in range(1, 2 * n + 1))
-    # each arc starts at its lower point, in increasing order: canonical arcs
-    diagrams = (ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
-                for partner in _partner_arrays(2 * n))
-    return sorted(diagrams, key=lambda d: d.arcs)
+    # arc text order, not glue id order: from n = 5, "#10" < "#2"
+    return sorted((ChordDiagram._of(base, arcs) for arcs in _pairings(base)), key=lambda d: d.arcs)
 
 
 def genus_distribution(n: int) -> dict[int, int]:

@@ -7,10 +7,9 @@ depend on the order in which the arcs are glued.
 
 ``evaluate`` computes the value without gluing: a diagram is a disc with one
 band per arc, a one-vertex ribbon graph.  ``_partner`` reads it as one array
-over base positions (the moves' handle test reads it too, and the census's
-matchings share its convention).  The faces are the orbits of
-``p -> partner[p] + 1``, and ``_genus`` is the Euler step.  The arc fold
-itself (include the base word, then contract each arc in turn) is
+over base positions (the moves' handle test reads it too).  The faces are
+the orbits of ``p -> partner[p] + 1``, and ``_genus`` is the Euler step.  The
+arc fold itself (include the base word, then contract each arc in turn) is
 ``laws.evaluate_expression``.
 
 ``ChordDiagram(...)`` checks base and arcs, and ``parse`` goes through it.
@@ -114,7 +113,7 @@ class ChordDiagram(_Value):
 
 
 def _partner(d: ChordDiagram) -> list[int]:
-    """``partner[p]``: the position an arc matches to ``p``, or ``p`` for a label (as ``census._partner_arrays``)."""
+    """``partner[p]``: the position an arc matches to ``p``, or ``p`` for a label."""
     index = {item: i for i, item in enumerate(d.base)}
     partner = list(range(len(d.base)))
     for x, y in d.arcs:

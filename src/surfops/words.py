@@ -153,7 +153,6 @@ class Renaming(_Value):
         for pair in pairs:
             if len(pair) != 2:
                 raise ValueError(f"a renaming pair is (old, new), got {pair!r}")
-        pairs = tuple(sorted(pairs))
         _check_items([src for src, _ in pairs], "renaming maps some label twice", check_label)
         _check_items([dst for _, dst in pairs], "renaming is not injective", check_label)
         self._build(pairs)

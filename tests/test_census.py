@@ -5,14 +5,14 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
 
-from oracles import catalan, double_factorial_odd, oracle_distribution
+from oracles import all_pair_partitions, catalan, double_factorial_odd, oracle_distribution
 from surfops import census, laws
 from surfops.census import (
-    _partner_arrays,
     cycle_decompositions,
     distribution_rows,
     enumerate_cyclic_words,
@@ -70,6 +70,10 @@ def test_enumerators_share_one_label_set():
             list(enumerate_labels(["a b"]))
         with pytest.raises(ValueError, match="reserved character"):
             list(enumerate_labels(["a", "#1"]))
+        for labels, bad in [([1, "a"], "1"), (["a", 2], "2"), (["a", None], "None")]:
+            # checked before the sort, where a label that is not a string would escape as a TypeError
+            with pytest.raises(ValueError, match=f"^labels are nonempty strings, got {bad}$"):
+                list(enumerate_labels(labels))
 
 
 @pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
@@ -108,7 +112,7 @@ def test_matchings_are_limited(monkeypatch):
     def refuse(m):
         raise AssertionError("the refused list enumerated matchings")
 
-    monkeypatch.setattr(census, "_partner_arrays", refuse)
+    monkeypatch.setattr(census, "_pairings", refuse)
     with pytest.raises(ValueError, match=r"^the diagram list of n = 8 chords would enumerate \(2n-1\)!! = 2027025 "
                                          r"matchings; it is limited to n <= 7$"):
         enumerate_matchings(8)
@@ -116,13 +120,13 @@ def test_matchings_are_limited(monkeypatch):
         enumerate_matchings(10**6)
 
 
-def test_one_partner_array_convention_for_the_census_and_the_tracer():
+def test_partner_of_a_matching_is_an_involution_along_its_arcs():
     for n in range(6):
-        base = tuple(glue(k) for k in range(1, 2 * n + 1))
-        for filled in _partner_arrays(2 * n):
-            partner = filled.copy()  # the generator fills one list in place
-            d = ChordDiagram._of(base, tuple((base[i], base[j]) for i, j in enumerate(partner) if i < j))
-            assert _partner(d) == partner
+        for d in enumerate_matchings(n):
+            partner = _partner(d)
+            index = {item: i for i, item in enumerate(d.base)}
+            assert all(partner[p] != p and partner[partner[p]] == p for p in range(2 * n))
+            assert all(partner[index[x]] == index[y] for x, y in d.arcs)
 
 
 _EULER_UNDER_O = """
@@ -162,23 +166,11 @@ def test_distribution_matches_oracle():
         assert genus_distribution(n) == oracle_distribution(n)
 
 
-def _reference_pairings(points):
-    """Every pairing of ``points`` by recursive concatenation: the construction the census replaced."""
-    if not points:
-        yield []
-        return
-    first = points[0]
-    for i in range(1, len(points)):
-        rest = points[1:i] + points[i + 1 :]
-        for sub in _reference_pairings(rest):
-            yield [(first, points[i])] + sub
-
-
 def _reference_matchings(n):
     base = tuple(glue(k) for k in range(1, 2 * n + 1))
     diagrams = (
         ChordDiagram._of(base, tuple((base[i - 1], base[j - 1]) for i, j in pairing))
-        for pairing in _reference_pairings(tuple(range(1, 2 * n + 1)))
+        for pairing in all_pair_partitions(list(range(1, 2 * n + 1)))
     )
     return sorted(diagrams, key=lambda d: d.arcs)
 
@@ -186,6 +178,16 @@ def _reference_matchings(n):
 def test_matchings_equal_the_recursive_reference():
     for n in range(7):
         assert enumerate_matchings(n) == _reference_matchings(n)
+
+
+def test_matchings_are_the_fixed_point_free_involutions():
+    # brute force, independent of any pairing recursion: every permutation of the 2n points, kept if it pairs them
+    for n in range(5):
+        base = tuple(glue(k) for k in range(1, 2 * n + 1))
+        involutions = sorted(tuple((base[i], base[j]) for i, j in enumerate(image) if i < j)
+                             for image in permutations(range(2 * n))
+                             if all(image[i] != i and image[image[i]] == i for i in range(2 * n)))
+        assert [d.arcs for d in enumerate_matchings(n)] == involutions
 
 
 def test_distribution_equals_evaluated_matchings():
@@ -232,7 +234,7 @@ def test_distribution_enumerates_no_matching(monkeypatch):
     def refuse(m):
         raise AssertionError("the census enumerated matchings")
 
-    monkeypatch.setattr(census, "_partner_arrays", refuse)
+    monkeypatch.setattr(census, "_pairings", refuse)
     assert genus_distribution(9) == {0: 4862, 1: 291720, 2: 4390386, 3: 17454580, 4: 12317877}
 
 

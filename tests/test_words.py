@@ -121,6 +121,13 @@ def test_renaming_validation():
     for empty in [{"": "a"}, {"a": ""}]:
         with pytest.raises(ValueError, match="^labels are nonempty strings, got ''$"):
             Renaming(empty)
+    # checked before the sort, where a label that is not a string would escape as a TypeError
+    with pytest.raises(ValueError, match="^labels are nonempty strings, got 1$"):
+        Renaming({1: "a", "b": "c"})
+    with pytest.raises(ValueError, match="^renaming maps some label twice$"):
+        Renaming([("a", 1), ("a", "c")])
+    with pytest.raises(ValueError, match="^labels are nonempty strings, got 1$"):
+        Renaming.identity(["a", 1])
     r = Renaming({"a": "x", "b": "y"})
     assert r("a") == "x"
     assert r.restrict(["a"]).domain == frozenset({"a"})
