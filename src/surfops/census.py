@@ -24,12 +24,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import ChordDiagram
 from .surface import Surface
-from .words import CyclicWord, _require_count, check_label, glue
+from .words import CyclicWord, _items, _require_count, check_label, glue
 
 
 def _label_set(labels: Iterable[str]) -> list[str]:
-    """The distinct ``labels``, sorted, each checked as a user label before the sort."""
-    return sorted(set(map(check_label, labels)))
+    """The distinct ``labels`` (never a bare string), sorted, each checked as a user label before the sort."""
+    return sorted(set(map(check_label, _items(labels))))
 
 
 def cycle_decompositions(labels: Iterable[str]) -> Iterator[tuple[tuple[str, ...], ...]]:
@@ -212,11 +212,11 @@ def random_surface(
 ) -> Surface:
     """A random surface on exactly ``labels`` plus up to ``max_extra_empty`` empty cycles, genus at most ``max_g``.
 
-    ``max_g`` and ``max_extra_empty`` are nonnegative ints, checked before anything is drawn from ``rng``.
+    ``labels`` is no bare string and ``max_g`` and ``max_extra_empty`` are nonnegative ints, checked first.
     """
     _require_count(max_g, "max_g", 0, "max_g must be nonnegative")
     _require_count(max_extra_empty, "max_extra_empty", 0, "max_extra_empty must be nonnegative")
-    pool = list(labels)
+    pool = list(_items(labels))
     rng.shuffle(pool)
     cycles: list[tuple[str, ...]] = []
     while pool:

@@ -12,7 +12,8 @@ Each law is written once, as its parameter names and a function giving both
 sides.  Each axiom family has one instance generator, written as nested loops
 over choice points (element tuples, label picks, renamings): the exhaustive
 driver offers every option over a fixed pool, building each list of renamings
-once per sweep, and the random driver draws one.
+once per sweep, with fresh names avoiding every pool label; the random driver
+draws one, with fresh names avoiding every label drawn for the instance.
 The morphism checkers draw their instances from the same choice points, and
 every law compares values themselves, never their text.
 
@@ -33,7 +34,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain, combinations, islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -348,9 +349,8 @@ def _fresh_names(n: int, avoid: frozenset[str], tag: str) -> list[str]:
     return [name for name in names if name not in avoid][:n]
 
 
-def _renamings(src: tuple[str, ...], fresh: tuple[str, ...], fresh_only: bool) -> tuple[Renaming, ...]:
-    images = permutations(fresh) if fresh_only else chain(permutations(src), permutations(fresh))
-    return tuple(Renaming._of(tuple(zip(src, image))) for image in images)
+def _onto(src: tuple[str, ...], names: tuple[str, ...]) -> tuple[Renaming, ...]:
+    return tuple(Renaming._of(tuple(zip(src, image))) for image in permutations(names))
 
 
 class _AllChoices:
@@ -363,7 +363,7 @@ class _AllChoices:
             self.groups.setdefault(x.labels, []).append(x)
         self.sets = sorted(self.groups, key=lambda ls: (len(ls), sorted(ls)))
         self.all_labels = frozenset().union(*self.groups)
-        self._renamings = cache(_renamings)
+        self._onto = cache(_onto)
 
     def elements(self, *min_labels: int):
         """Tuples of elements on pairwise disjoint labels, each with at least ``min_labels``.
@@ -391,16 +391,15 @@ class _AllChoices:
     def label_pairs(self, x, excluded: frozenset[str] = frozenset(), ordered: bool = False):
         return (permutations if ordered else combinations)(sorted(x.labels - excluded), 2)
 
-    def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
+    def renamings(self, labels: frozenset[str], tag: str, fresh_only: bool = False):
         """Bijections from ``labels`` onto itself (unless ``fresh_only``), then onto fresh names.
 
-        Each tuple is built once per ``_AllChoices``, so once per sweep, and every later call with
-        the same labels, fresh names and ``fresh_only`` gets it again.
+        Fresh names are ``tag`` and a number, avoiding every pool label (tags ``u`` and ``v`` never collide).
+        The bijections onto one tuple of names are built once per sweep: both tags share the permuted ones.
         """
-        # fresh names avoid every label of the pool, not just the instance's
         src = tuple(sorted(labels))
-        fresh = tuple(_fresh_names(len(src), self.all_labels | avoid | labels, tag))
-        return self._renamings(src, fresh, fresh_only)
+        fresh = self._onto(src, tuple(_fresh_names(len(src), self.all_labels, tag)))
+        return fresh if fresh_only else self._onto(src, src) + fresh
 
     def branch(self, p: float):
         return (True, False)
@@ -411,16 +410,20 @@ class _RandomChoices:
 
     A label pair is always drawn in order, and a renaming is onto permuted or
     onto fresh names with even odds, whatever restricts the exhaustive options.
+    ``drawn`` holds the instance's labels so far: new elements and fresh names avoid them.
     """
 
     def __init__(self, sampler, rng: random.Random):
         self.sampler = sampler
         self.rng = rng
+        self.drawn: frozenset[str] = frozenset()
 
     def elements(self, *min_labels: int):
         xs: list = []
+        self.drawn = frozenset()
         for n in min_labels:
-            xs.append(self.sampler(self.rng, frozenset().union(*(x.labels for x in xs)), n))
+            xs.append(self.sampler(self.rng, self.drawn, n))
+            self.drawn |= xs[-1].labels
         return [tuple(xs)]
 
     def label(self, x):
@@ -429,9 +432,10 @@ class _RandomChoices:
     def label_pairs(self, x, excluded: frozenset[str] = frozenset(), ordered: bool = False):
         return [tuple(self.rng.sample(sorted(x.labels - excluded), 2))]
 
-    def renamings(self, labels: frozenset[str], avoid: frozenset[str], tag: str, fresh_only: bool = False):
+    def renamings(self, labels: frozenset[str], tag: str, fresh_only: bool = False):
+        """One bijection from ``labels`` onto itself or onto fresh names that avoid ``drawn``."""
         src = sorted(labels)
-        image = list(src) if self.rng.random() < 0.5 else _fresh_names(len(src), avoid | labels, tag)
+        image = list(src) if self.rng.random() < 0.5 else _fresh_names(len(src), self.drawn, tag)
         self.rng.shuffle(image)
         return [Renaming._of(tuple(zip(src, image)))]
 
@@ -472,13 +476,12 @@ def _compose_symmetry(ch, law):
 )
 def _rename_functoriality(ch, identity_law, composition_law):
     for (x,) in ch.elements(0):
-        lx = x.labels
         for identity in ch.branch(0.2):
             if identity:
-                yield identity_law, (x, Renaming.identity(lx))
+                yield identity_law, (x, Renaming.identity(x.labels))
                 continue
-            for first in ch.renamings(lx, lx, "u"):
-                for second in ch.renamings(first.codomain, lx | first.codomain, "v", fresh_only=True):
+            for first in ch.renamings(x.labels, "u"):
+                for second in ch.renamings(first.codomain, "v", fresh_only=True):
                     yield composition_law, (x, first, second)
 
 
@@ -487,11 +490,10 @@ def _rename_functoriality(ch, identity_law, composition_law):
     s.compose(s.rename(x, rho), rho(a), s.rename(y, sigma), sigma(b)))))
 def _compose_equivariance(ch, law):
     for x, y in ch.elements(1, 1):
-        lx, ly = x.labels, y.labels
         for a in ch.label(x):
             for b in ch.label(y):
-                for rho in ch.renamings(lx, lx | ly, "u"):
-                    for sigma in ch.renamings(ly, lx | ly | rho.codomain, "v"):
+                for rho in ch.renamings(x.labels, "u"):
+                    for sigma in ch.renamings(y.labels, "v"):
                         yield law, (x, a, y, b, rho, sigma)
 
 
@@ -500,9 +502,8 @@ def _compose_equivariance(ch, law):
     s.contract(s.rename(x, rho), rho(a), rho(b)))))
 def _contract_equivariance(ch, law):
     for (x,) in ch.elements(2):
-        lx = x.labels
         for a, b in ch.label_pairs(x):
-            for rho in ch.renamings(lx, lx, "u"):
+            for rho in ch.renamings(x.labels, "u"):
                 yield law, (x, a, b, rho)
 
 
@@ -631,8 +632,7 @@ def check_axioms_random(target: Target, sampler, count: int, rng: random.Random)
 def _renamed(ch, law):
     """Each element under each renaming of its labels, onto permuted and onto fresh names."""
     for (x,) in ch.elements(0):
-        lx = x.labels
-        for rho in ch.renamings(lx, lx, "u"):
+        for rho in ch.renamings(x.labels, "u"):
             yield law, (x, rho)
 
 

@@ -165,7 +165,7 @@ class Renaming(_Value):
 
     @classmethod
     def identity(cls, labels: Iterable[str]) -> "Renaming":
-        return cls({l: l for l in labels})
+        return cls({l: l for l in _items(labels)})
 
     @property
     def domain(self) -> frozenset[str]:
@@ -198,7 +198,7 @@ class Renaming(_Value):
         return Renaming._of(self.pairs + other.pairs)
 
     def restrict(self, labels: Iterable[str]) -> "Renaming":
-        keep = frozenset(labels)
+        keep = frozenset(_items(labels))
         if not self._map.keys() >= keep:
             raise ValueError("cannot restrict a renaming beyond its domain")
         return Renaming._of([(s, t) for s, t in self.pairs if s in keep])

@@ -18,7 +18,8 @@ def faces_of_matching(n: int, pairs: list[tuple[int, int]]) -> int:
     for i, j in pairs:
         alpha[i] = j
         alpha[j] = i
-    assert len(alpha) == 2 * n
+    if len(alpha) != 2 * n:
+        raise AssertionError(f"{pairs} is no perfect matching of the points 1..{2 * n}")
 
     def phi(p: int) -> int:
         return alpha[p] % (2 * n) + 1
@@ -43,7 +44,8 @@ def genus_boundary_of_matching(n: int, pairs: list[tuple[int, int]]) -> tuple[in
     """
     b = faces_of_matching(n, pairs)
     g2 = n + 1 - b
-    assert g2 % 2 == 0 and g2 >= 0
+    if g2 % 2 or g2 < 0:
+        raise AssertionError(f"Euler arithmetic leaves 2g = {g2} for n = {n}, b = {b}")
     return g2 // 2, b
 
 
@@ -189,7 +191,8 @@ def _reconnected(cycles, a: str, b: str) -> list[tuple[str, ...]]:
 def _genus_from_euler(euler: int, boundaries: int) -> int:
     """The genus of a connected surface: euler = 2 - 2g - b."""
     twice = 2 - euler - boundaries
-    assert twice >= 0 and twice % 2 == 0, (euler, boundaries)
+    if twice < 0 or twice % 2:
+        raise AssertionError((euler, boundaries))
     return twice // 2
 
 

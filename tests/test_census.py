@@ -74,6 +74,9 @@ def test_enumerators_share_one_label_set():
             # checked before the sort, where a label that is not a string would escape as a TypeError
             with pytest.raises(ValueError, match=f"^labels are nonempty strings, got {bad}$"):
                 list(enumerate_labels(labels))
+        # a bare string is one item, never its characters
+        with pytest.raises(ValueError, match="^expected a sequence of items, got the string 'ab'$"):
+            list(enumerate_labels("ab"))
 
 
 @pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
@@ -320,6 +323,7 @@ def test_random_diagram_label_bound_does_not_depend_on_the_seed():
     (lambda rng: random_surface(rng, ["a"], 1.0), "max_g must be an integer, got 1.0"),
     (lambda rng: random_surface(rng, ["a"], 1, -1), "max_extra_empty must be nonnegative"),
     (lambda rng: random_surface(rng, ["a"], 1, "2"), "max_extra_empty must be an integer, got '2'"),
+    (lambda rng: random_surface(rng, "abc", 0), "expected a sequence of items, got the string 'abc'"),
 ])
 def test_random_generators_refuse_bad_bounds_before_drawing(call, text):
     rng = random.Random(3)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import pytest
 
 from surfops import laws
-from surfops.census import label_subsets, random_diagram, surface_pool, word_pool
+from surfops.census import label_subsets, random_diagram, random_surface, surface_pool, word_pool
 from surfops.diagram import evaluate
 from surfops.laws import (
     AXIOM_FAMILIES,
@@ -238,6 +238,19 @@ def test_axioms_random_pass():
     assert report.total_checked == 450
     report2 = check_axioms_random(TerminalTarget(), terminal_sampler(), 180, random.Random(4))
     assert report2.passed, str(report2)
+
+
+def test_random_fresh_names_avoid_every_label_drawn_for_the_instance():
+    """Elements on labels shaped like fresh names: a renaming's fresh images still avoid every drawn label."""
+
+    def sample(rng, avoid, min_labels=0):
+        names = [name for k in range(1, 9) for name in (f"u{k}", f"v{k}") if name not in avoid]
+        return random_surface(rng, names[:rng.randint(min_labels, max(min_labels, 4))], 1, 1)
+
+    report = check_axioms_random(SurfaceTarget(), sample, 900, random.Random(11))
+    for family in ("rename_functoriality", "compose_equivariance", "contract_equivariance"):
+        assert report.families[family].checked == 100 and report.families[family].failures == 0, str(report)
+    assert report.passed, str(report)
 
 
 def test_absorb_adds_random_counts_behind_the_exhaustive_counterexamples():
@@ -493,19 +506,26 @@ def test_axiom_reports_repeat_exactly():
     assert [str(check_axioms(NoGenusBump(), surface_pool(2, 1))) for _ in range(2)] == [BROKEN_CONTRACT_REPORT] * 2
 
 
+def _same_objects(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
 def test_renaming_lists_are_built_once_per_sweep():
     ch = laws._AllChoices(surface_pool(3, 0))
     lx = frozenset({"1", "3"})
-    both = ch.renamings(lx, lx, "u")
-    assert isinstance(both, tuple) and ch.renamings(lx, lx, "u") is both
+    both = ch.renamings(lx, "u")
     assert [str(r) for r in both] == ["{1->1, 3->3}", "{1->3, 3->1}", "{1->u1, 3->u2}", "{1->u2, 3->u1}"]
-    assert ch.renamings(lx, lx, "u", fresh_only=True) == both[2:]
-    # the key covers the fresh names: another avoid set or tag gives other ones
-    assert [str(r) for r in ch.renamings(lx, lx | {"u1"}, "u")[2:]] == ["{1->u2, 3->u3}", "{1->u3, 3->u2}"]
-    assert ch.renamings(lx, lx, "v")[2:] != both[2:]
+    assert _same_objects(ch.renamings(lx, "u"), both)
+    assert _same_objects(ch.renamings(lx, "u", fresh_only=True), both[2:])
+    # the permuted renamings (the first k! = 2) are one list for every tag; the fresh ones are the tag's
+    v = ch.renamings(lx, "v")
+    assert _same_objects(v[:2], both[:2]) and [str(r) for r in v[2:]] == ["{1->v1, 3->v2}", "{1->v2, 3->v1}"]
+    # fresh names skip every label of the pool, not just the renamed ones
+    shaped = laws._AllChoices([TerminalElement(frozenset({"1"}), 0), TerminalElement(frozenset({"u1"}), 0)])
+    assert [str(r) for r in shaped.renamings(frozenset({"1"}), "u")] == ["{1->1}", "{1->u2}"]
     # each sweep builds its own
-    again = laws._AllChoices(surface_pool(3, 0)).renamings(lx, lx, "u")
-    assert again == both and again is not both
+    again = laws._AllChoices(surface_pool(3, 0)).renamings(lx, "u")
+    assert again == both and not any(x is y for x, y in zip(again, both))
 
 
 class DropsALabel(TerminalTarget):

@@ -1,7 +1,7 @@
-"""Source rules for the package: invariants survive ``python -O``, the oracles stay independent
-(in both directions), modules import one another only downward, each public name is declared
-once, in its module's ``__all__``, every import is used, and the sources parse on the oldest
-Python that ``pyproject.toml`` admits."""
+"""Source rules for the package: invariants (the oracles' too) survive ``python -O``, the oracles
+stay independent (in both directions), modules import one another only downward, each public name
+is declared once, in its module's ``__all__``, every import is used, and the sources parse on the
+oldest Python that ``pyproject.toml`` admits."""
 
 import ast
 import importlib
@@ -14,7 +14,7 @@ import surfops
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "surfops").glob("*.py"))
 INDEPENDENT = {"oracles", "perfbench"}  # the references the package is checked against
-ORACLES = [ROOT / "tests" / "oracles.py", ROOT / "perfbench" / "oracle.py"]  # read, never edited
+ORACLES = [ROOT / "tests" / "oracles.py", ROOT / "perfbench" / "oracle.py"]  # stdlib only, and no asserts
 FRONT_ENDS = {"__init__", "__main__", "cli"}  # every other module declares its API in __all__
 # The import order: a module imports only from lower layers, never from its own layer or above.
 LAYERS = [{"lexer"}, {"words"}, {"surface"}, {"diagram"}, {"canonical", "rewrite", "census"}, {"laws"}, {"cli"}]
@@ -40,7 +40,8 @@ def _trees():
 
 
 def test_no_assert_statements():
-    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+    oracles = [(path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in ORACLES]
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() + oracles for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements vanish under python -O: {found}"
 

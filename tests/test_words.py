@@ -128,11 +128,15 @@ def test_renaming_validation():
         Renaming([("a", 1), ("a", "c")])
     with pytest.raises(ValueError, match="^labels are nonempty strings, got 1$"):
         Renaming.identity(["a", 1])
+    with pytest.raises(ValueError, match="^expected a sequence of items, got the string 'ab'$"):
+        Renaming.identity("ab")
     r = Renaming({"a": "x", "b": "y"})
     assert r("a") == "x"
     assert r.restrict(["a"]).domain == frozenset({"a"})
     with pytest.raises(ValueError, match="^cannot restrict a renaming beyond its domain$"):
         r.restrict(["a", "z"])
+    with pytest.raises(ValueError, match="^expected a sequence of items, got the string 'ab'$"):
+        r.restrict("ab")
     with pytest.raises(ValueError):
         r("z")
 
