@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import ChordDiagram
 from .surface import Surface
-from .words import CyclicWord, _items, _require_count, check_label, glue
+from .words import CyclicWord, _check_items, _items, _require_count, check_label, glue
 
 
 def _label_set(labels: Iterable[str]) -> list[str]:
@@ -212,11 +212,13 @@ def random_surface(
 ) -> Surface:
     """A random surface on exactly ``labels`` plus up to ``max_extra_empty`` empty cycles, genus at most ``max_g``.
 
-    ``labels`` is no bare string and ``max_g`` and ``max_extra_empty`` are nonnegative ints, checked first.
+    ``labels`` are distinct items and no bare string, and ``max_g`` and ``max_extra_empty`` are
+    nonnegative ints, all checked first.
     """
     _require_count(max_g, "max_g", 0, "max_g must be nonnegative")
     _require_count(max_extra_empty, "max_extra_empty", 0, "max_extra_empty must be nonnegative")
     pool = list(_items(labels))
+    _check_items(pool, "label {!r} occurs in more than one position")
     rng.shuffle(pool)
     cycles: list[tuple[str, ...]] = []
     while pool:
@@ -227,7 +229,7 @@ def random_surface(
         cycles.append(())
     if not cycles:
         cycles.append(())
-    return Surface(cycles, rng.randint(0, max_g))
+    return Surface._of([CyclicWord._of(cycle) for cycle in cycles], rng.randint(0, max_g))
 
 
 _LABEL_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")

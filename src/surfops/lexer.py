@@ -8,8 +8,7 @@ integer) is a glue token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 _T = TypeVar("_T")
 
@@ -48,16 +47,18 @@ class _ItemError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # a punctuation character, "name", "glue", or "end"
     text: str
     pos: int
 
 
-# \s matches exactly the characters for which str.isspace is true
+# \s matches exactly the characters for which str.isspace is true.  LABEL matches a run of
+# characters that are neither whitespace nor reserved: a name to the tokenizer, and a label to
+# the item checks of ``words`` when it is printable too
+LABEL = r"[^\s(){}\[\]^;,#]+"
 _SPACE = re.compile(r"\s*")
-_NAME = re.compile(r"[^\s(){}\[\]^;,#]+")
+_NAME = re.compile(LABEL)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -11,6 +11,10 @@ Checks run once, in the public constructors; the parsers read syntax and then
 call them.  A constructor checks, then calls its build step ``_build``, which
 only canonicalises.  Values derived from valid ones (renamed, spliced, glued,
 composed) skip the checks through ``_of``, the build step alone.
+
+``_check_items`` checks a whole item list at once: one pattern match over the
+items joined by newlines, one ``isprintable`` and one set for the repeats.
+Only a list that fails is walked item by item, to name its first bad item.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .lexer import PUNCTUATION, Token, TokenStream, _ItemError
+from .lexer import LABEL, PUNCTUATION, Token, TokenStream, _ItemError
 
 # Reserved in the textual grammars; none of these may appear inside a label.
 RESERVED_CHARS = PUNCTUATION + "#"
 
-_GLUE_RE = re.compile(r"#[1-9][0-9]*\Z")
+_GLUE = r"#[1-9][0-9]*"
+_GLUE_RE = re.compile(_GLUE + r"\Z")
 
 
 def is_glue(item: str) -> bool:
@@ -73,8 +78,34 @@ def _items(seq: Iterable[str]) -> tuple[str, ...]:
     return tuple(seq)
 
 
+def _joined(item: str) -> re.Pattern[str]:
+    """A nonempty list of items that match ``item``, joined by newlines.
+
+    A newline is whitespace, which no item contains, so a match splits the joined list back into
+    exactly its items.
+    """
+    return re.compile(f"{item}(?:\n{item})*")
+
+
+_ITEMS_RE = {check_item: _joined(f"(?:{LABEL}|{_GLUE})"), check_label: _joined(LABEL)}
+
+
 def _check_items(items: Iterable[str], repeated: str, check: Callable[[str], str] = check_item) -> None:
-    """Each item passes ``check`` and none is repeated; ``repeated`` formats the error for a repeat."""
+    """Each item passes ``check`` (``check_item`` or ``check_label``) and none is repeated.
+
+    ``repeated`` formats the error for a repeat.  The whole list is checked at once: the pattern
+    of ``check``, ``isprintable`` and a set.  Only a list that fails is walked item by item,
+    which raises for its first bad item with that item's index.
+    """
+    items = list(items)
+    if not items:
+        return
+    try:
+        if (_ITEMS_RE[check].fullmatch("\n".join(items))
+                and "".join(items).isprintable() and len(set(items)) == len(items)):
+            return
+    except TypeError:  # an item that is no string, or cannot be hashed
+        pass
     seen: set[str] = set()
     for i, item in enumerate(items):
         try:

@@ -250,3 +250,32 @@ def tokenize_reference(text: str) -> list[tuple[str, str, int]]:
         i = j
     tokens.append(("end", "", n))
     return tokens
+
+
+def check_items_reference(items, labels_only: bool):
+    """The constructors' item checks as a character loop: (message, index) of the first bad item, or None.
+
+    A label is a nonempty string of printable characters, none of them whitespace or one of
+    "(){}[]^;,#".  Unless ``labels_only``, an item may also be a glue token: '#' and ASCII digits
+    without a leading zero.  An item equal to an earlier one is bad too, with the message
+    ``CyclicWord`` gives for a repeat.
+    """
+    reserved = "(){}[]^;,#"
+    seen = set()
+    for i, item in enumerate(items):
+        if not labels_only and isinstance(item, str) and item[:1] == "#":
+            digits = item[1:]
+            if not digits or digits[0] == "0" or any(d not in "0123456789" for d in digits):
+                return f"names starting with '#' are reserved for glue tokens; {item!r} is not one", i
+        elif not isinstance(item, str) or not item:
+            return f"labels are nonempty strings, got {item!r}", i
+        else:
+            for ch in item:
+                if ch in reserved:
+                    return f"label {item!r} contains reserved character {ch!r}", i
+                if ch.isspace() or not ch.isprintable():
+                    return f"label {item!r} contains whitespace or unprintable characters", i
+        if item in seen:
+            return f"label {item!r} occurs twice in the word", i
+        seen.add(item)
+    return None

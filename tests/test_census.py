@@ -324,6 +324,9 @@ def test_random_diagram_label_bound_does_not_depend_on_the_seed():
     (lambda rng: random_surface(rng, ["a"], 1, -1), "max_extra_empty must be nonnegative"),
     (lambda rng: random_surface(rng, ["a"], 1, "2"), "max_extra_empty must be an integer, got '2'"),
     (lambda rng: random_surface(rng, "abc", 0), "expected a sequence of items, got the string 'abc'"),
+    (lambda rng: random_surface(rng, ["a", "a"], 0), "label 'a' occurs in more than one position"),
+    (lambda rng: random_surface(rng, ["a;"], 0), "label 'a;' contains reserved character ';'"),
+    (lambda rng: random_surface(rng, ["a", ""], 0), "labels are nonempty strings, got ''"),
 ])
 def test_random_generators_refuse_bad_bounds_before_drawing(call, text):
     rng = random.Random(3)

@@ -3,12 +3,14 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import check_items_reference
 
 from surfops.diagram import ChordDiagram
-from surfops.lexer import ParseError
-from surfops.words import CyclicWord, Renaming, _least_first, glue, is_glue, splice
+from surfops.lexer import LABEL, ParseError, _ItemError
+from surfops.words import (CyclicWord, Renaming, _check_items, _least_first, check_item, check_label, glue,
+                           is_glue, splice)
 
 labels = st.text(alphabet="abcxyz123", min_size=1, max_size=3)
 label_lists = st.lists(labels, unique=True, max_size=6)
@@ -190,6 +192,42 @@ def test_constructors_reject_a_bare_string():
 def test_word_errors_name_the_item():
     with pytest.raises(ValueError, match="label 'a' occurs twice in the word"):
         CyclicWord(("a", "b", "a"))
+
+
+REPEATED = "label {!r} occurs twice in the word"
+# repeats, empty items, non-strings, unhashable items, and the characters that tell the checks apart
+checked_items = st.one_of(
+    st.text(alphabet=["a", "b", "1", "\n", "#", "0", "١", "²", "\x85", " ", ";", "\x00"], max_size=3),
+    st.sampled_from(["#0", "#١", "#1١", "#²", "#1", "#12", "a", "b", ""]),
+    st.text(max_size=2),
+    st.integers(0, 2),
+    st.none(),
+    st.lists(st.just("a"), max_size=1),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(checked_items, max_size=6), st.booleans())
+def test_check_items_agrees_with_the_reference(items, labels_only):
+    expected = check_items_reference(items, labels_only)
+    try:
+        _check_items(items, REPEATED, check_label if labels_only else check_item)
+    except _ItemError as exc:
+        assert (str(exc), exc.index) == expected
+    else:
+        assert expected is None
+
+
+def test_check_items_on_every_code_point():
+    # \s, in the lexer and in the item patterns, must be exactly the str.isspace characters
+    chars = "".join(map(chr, range(0x110000)))
+    assert set(re.findall(r"\s", chars)) == set(filter(str.isspace, chars))
+    printable = list(filter(str.isprintable, chars))
+    labels = [ch for ch in printable if check_items_reference([ch], True) is None]
+    for check in (check_label, check_item):
+        _check_items(labels, REPEATED, check)
+    # among printable characters, the label class matches exactly the one-character labels
+    assert set(re.findall(LABEL, "\n".join(printable))) == set(labels)
 
 
 def test_union_needs_disjoint_codomains():
